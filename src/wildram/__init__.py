@@ -64,4 +64,4 @@ from .deform import (
     tangent_cocycle_extract,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -172,11 +172,10 @@ def frobenius_minus_identity(ring, s):
                                    0: ring.raw_neg(ring.raw_one())})
 
 
-def _bordered_additive_poly(ring, column_raws, numerator_rows=None):
+def _bordered_additive_poly(ring, column_raws):
     """Expand det of the Moore matrix of column_raws bordered by a Y-column
     along that column; returns the cofactor of Y^{p^{i-1}} for each row i."""
     n = len(column_raws)
-    base = _moore_matrix_raw(ring, column_raws)  # (n x n), row i = p^i powers
     # bordered matrix is (n+1)x(n+1): rows i = 0..n carry powers p^i of the
     # columns and Y^{p^i}; cofactor of row i is (-1)^{i + n} det(minor)
     full_rows = _moore_matrix_raw(ring, column_raws + [ring.raw_zero()])

@@ -11,15 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .addpoly import moore_det
 from .coeffring import FieldElem
-from .series import (
-    LaurentSeries,
-    compose,
-    invert_unit_series,
-    mth_root_unit,
-)
+from .series import LaurentSeries, compose
 
 
 class InvalidCharacter(ValueError):
@@ -100,51 +96,48 @@ def character_value(ch, g):
     return acc
 
 
+def binom_mod_p(num, den, k, p):
+    """binom(num/den, k) reduced mod p, for den prime to p.
+
+    num/den is a p-adic integer x.  By Lucas's theorem binom(x, k) mod p
+    is the product of binom(x_i, k_i) over the base-p digits of x and k,
+    so only x mod p^L matters, where p^L > k."""
+    mod = p
+    while mod <= k:
+        mod *= p
+    x = num * pow(den, -1, mod) % mod
+    out = 1
+    while k:
+        k, ki = divmod(k, p)
+        x, xi = divmod(x, p)
+        out = out * comb(xi, ki) % p
+    return out
+
+
 _rho_cache = {}
 
 
 def build_rho(ch, g, prec=None):
-    """rho_g(t) = t / (1 + c(g) t^m)^{1/m}, exact to the requested precision.
-
-    Built twice internally -- via the m-th root of 1 + c t^m and via a direct
-    Hensel solve of (1 + c t^m) T^m = t^m -- and the two must agree bit-exactly.
-    """
+    """rho_g(t) = t (1 + c(g) t^m)^{-1/m}, the closed binomial series
+    sum_k binom(-1/m, k) c(g)^k t^{1+km} truncated at the requested
+    precision."""
     if prec is None:
         prec = default_precision(ch.p, ch.m)
     key = (ch, g.exps, prec)
     if key in _rho_cache:
         return _rho_cache[key]
     field = ch.field
-    c = character_value(ch, g)
-    t = LaurentSeries.t_power(field, 1, prec)
-    if not c:
-        _rho_cache[key] = t
-        return t
-    m = ch.m
-    base = LaurentSeries.make(field, {0: 1, m: c}, prec)
-    root = mth_root_unit(base, m)
-    rho = (t * invert_unit_series(root)).with_prec(prec)
-    alt = _rho_by_direct_hensel(field, c, m, prec)
-    if not rho.eq_to_prec(alt):
-        raise AssertionError("the two rho constructions disagree")
+    p, m = ch.p, ch.m
+    c = character_value(ch, g).idx
+    coeffs = {}
+    ck = field.raw_one()
+    for k in range((prec - 2) // m + 1):  # the exponents 1 + km below prec
+        coeffs[1 + k * m] = field.raw_mul(
+            field.raw_from_int(binom_mod_p(-1, m, k, p)), ck)
+        ck = field.raw_mul(ck, c)
+    rho = LaurentSeries(field, coeffs, prec)
     _rho_cache[key] = rho
     return rho
-
-
-def _rho_by_direct_hensel(field, c, m, prec):
-    """Newton solve of (1 + c t^m) T^m - t^m = 0 with T = t + higher."""
-    base = LaurentSeries.make(field, {0: 1, m: c}, prec)
-    tm = LaurentSeries.t_power(field, m, prec + m)
-    T = LaurentSeries.t_power(field, 1, prec)
-    for _ in range(64):
-        err = base * T.pow(m) - tm
-        if err.is_zero():
-            break
-        dF = (base * T.pow(m - 1)).scale(m)
-        T = (T - err * invert_unit_series(dF)).with_prec(prec)
-    else:
-        raise AssertionError("direct Hensel construction did not converge")
-    return T
 
 
 def verify_group_law(ch, prec=None, seed=0):

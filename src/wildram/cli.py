@@ -1,9 +1,10 @@
 """Batch front-end: JSON job in, deterministic JSON report out.
 
 `wildram run --config job.json [--out report.json] [--golden path]
-[--parallel]` executes the requested tasks; `wildram selftest` sweeps a
-fixed grid of configurations with every task enabled.  Exit codes: 0 ok,
-1 task failure (or golden mismatch), 2 invalid configuration.
+[--parallel]` executes the requested tasks; `wildram selftest [--out
+report.json]` sweeps a fixed grid of configurations with every task
+enabled.  Exit codes: 0 ok, 1 task failure (or golden mismatch), 2 invalid
+configuration.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .series import INF, LaurentSeries, invert_unit_series
 
 SCHEMA = "wildram-report/1"
 KNOWN_TASKS = ("rho", "cohomology", "ascover", "deform", "predicates")
+# Resource caps on a job: series are built to `precision` terms and the
+# deformation task works over F_q[eps]/eps^artin_order.
+MAX_PRECISION = 1024
+MAX_ARTIN_ORDER = 16
 
 
 class ConfigInvalid(ValueError):
@@ -61,7 +66,7 @@ def parse_config(data):
     _require(isinstance(d, int) and d >= 1, "/field/d", "positive degree required")
     try:
         field = make_field(p, d, tuple(fld["modulus"]) if "modulus" in fld else None)
-    except Exception as e:
+    except (TypeError, ValueError) as e:
         raise ConfigInvalid("/field", str(e))
     chd = data.get("character")
     _require(isinstance(chd, dict), "/character", "missing character")
@@ -74,12 +79,16 @@ def parse_config(data):
              "/character/vals", "need exactly s generator values")
     try:
         ch = make_character(field, [field.elem(v) for v in vals], m)
-    except Exception as e:
+    except (TypeError, ValueError) as e:
         raise ConfigInvalid("/character/vals", str(e))
     n = data.get("artin_order", 2)
     _require(isinstance(n, int) and n >= 1, "/artin_order", "positive order required")
+    _require(n <= MAX_ARTIN_ORDER, "/artin_order",
+             "order %d above the limit %d" % (n, MAX_ARTIN_ORDER))
     prec = data.get("precision", default_precision(p, m))
     _require(isinstance(prec, int) and prec > m + 1, "/precision", "too small")
+    _require(prec <= MAX_PRECISION, "/precision",
+             "precision %d above the limit %d" % (prec, MAX_PRECISION))
     seed = data.get("seed", 0)
     _require(isinstance(seed, int), "/seed", "integer required")
     tasks = data.get("tasks", [])
@@ -327,13 +336,8 @@ def selftest_grid():
     return points
 
 
-def selftest(parallel=False):
-    points = selftest_grid()
-    if parallel:
-        with ThreadPoolExecutor() as ex:
-            reports = list(ex.map(run, points))
-    else:
-        reports = [run(cfg) for cfg in points]
+def selftest():
+    reports = [run(cfg) for cfg in selftest_grid()]
     ok = all(r["summary"]["ok"] for r in reports)
     return {
         "schema": "wildram-selftest/1",
@@ -358,11 +362,10 @@ def main(argv=None):
     rp.add_argument("--parallel", action="store_true")
     sp = sub.add_parser("selftest", help="run the fixed acceptance sweep")
     sp.add_argument("--out")
-    sp.add_argument("--parallel", action="store_true")
     args = ap.parse_args(argv)
 
     if args.cmd == "selftest":
-        report = selftest(parallel=args.parallel)
+        report = selftest()
         text = _dump(report)
         if args.out:
             with open(args.out, "w") as fh:

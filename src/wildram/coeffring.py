@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+# Largest field in scope: addition and multiplication tables take q^2 entries.
+MAX_FIELD_SIZE = 625
+
 
 class NonPrimeP(ValueError):
     pass
@@ -376,12 +379,14 @@ def _field_cache(p, d, modulus):
 
 
 def make_field(p, d=1, modulus=None):
-    if not _is_prime(p):
-        raise NonPrimeP("p = %r is not prime" % (p,))
     if d < 1:
         raise ValueError("d must be >= 1")
     if d > 6:
         raise ValueError("extension degrees above 6 are out of scope")
+    if p ** d > MAX_FIELD_SIZE:
+        raise ValueError("q = %d^%d is above the supported %d" % (p, d, MAX_FIELD_SIZE))
+    if not _is_prime(p):
+        raise NonPrimeP("p = %r is not prime" % (p,))
     if modulus is None:
         modulus = _default_modulus(p, d)
     else:
@@ -624,7 +629,3 @@ def p_power_root(x, e=1):
 
 def ring_is_field(ring):
     return isinstance(ring, FieldDescriptor)
-
-
-def residue_field(ring):
-    return ring if ring_is_field(ring) else ring.base

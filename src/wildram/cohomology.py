@@ -2,21 +2,25 @@
 
 The module M is t^{-(m+1)} k[[t]] / k[[t]], a k-vector space of dimension
 m+1 carrying the conjugation action on vector fields transported through
-the pole-part identification f(t) d/dt <-> f(t)/t^{m+1}.  H^1 and H^2 are
-computed by exact linear algebra over k; alongside sit the closed dimension
-formula, the cyclic basis, the splitting criterion and the Krull dimension
-of the unobstructed locus.
+the pole-part identification f(t) d/dt <-> f(t)/t^{m+1}.  In these terms
+sigma acts by the one binomial formula
+
+    t^e -> t^e (1 + c(sigma) t^m)^{-e/m},
+
+and every action matrix, on M and on the graded components of the tangent
+module, is a slice of it.  H^1 and H^2 are computed by exact linear algebra
+over k; alongside sit the closed dimension formula, the cyclic basis, the
+splitting criterion and the Krull dimension of the unobstructed locus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .autoreps import Character, build_rho, character_value, group_mul
+from .autoreps import Character, binom_mod_p, character_value, group_mul
 from .coeffring import FieldElem
-from .series import LaurentSeries, invert_unit_series, pole_part
+from .series import LaurentSeries, pole_part
 
 
 class TooLarge(ValueError):
@@ -105,52 +109,44 @@ class OneCochain:
 
 # -- the module action --------------------------------------------------------
 
-def _action_prec(ch):
-    return 3 * (ch.m + 2)
+def _action(ch, g, exps):
+    """Matrix of g acting by t^e -> t^e (1 + c(g) t^m)^{-e/m} on the span of
+    the t^e, e in exps: entry (i, j) is the coefficient of t^{exps[i]} in
+    the image of t^{exps[j]}, namely binom(-e/m, k) c(g)^k when
+    exps[i] = e + km with e = exps[j] and k >= 0.  Images only move up in
+    exponent and terms outside exps are dropped, so the slice on -1..-(m+1)
+    is the action on M = t^{-(m+1)} k[[t]] / k[[t]], and a component cut at
+    level L is its quotient by the levels >= L."""
+    field = ch.field
+    p, m = ch.p, ch.m
+    c = character_value(ch, g).idx
+    pos = {e: i for i, e in enumerate(exps)}
+    top = max(exps)
+    n = len(exps)
+    cpow = [field.raw_one()]
+    for _ in range((top - min(exps)) // m):
+        cpow.append(field.raw_mul(cpow[-1], c))
+    mat = [[0] * n for _ in range(n)]
+    for j, e in enumerate(exps):
+        for k in range((top - e) // m + 1):
+            i = pos.get(e + k * m)
+            if i is not None:
+                b = binom_mod_p(-e, m, k, p)
+                if b:
+                    mat[i][j] = field.raw_mul(field.raw_from_int(b), cpow[k])
+    return mat
 
 
-def module_action(ch, g, x, prec=None):
+def module_action(ch, g, x):
     """sigma . (h(t)/t^{m+1} as a vector field): the pole part of
     rho_g(t)^{m+1} h(rho_g(t)) / (t^{m+1} rho_g'(t))."""
-    if prec is None:
-        prec = _action_prec(ch)
-    mat = action_matrix(ch, g, prec)
-    vec = linalg.mat_vec(ch.field, mat, x.vector())
+    vec = linalg.mat_vec(ch.field, action_matrix(ch, g), x.vector())
     return PolePartClass.from_vector(ch, vec)
 
 
-_action_cache = {}
-
-
-def action_matrix(ch, g, prec=None):
+def action_matrix(ch, g):
     """Matrix of the action of g on M in the basis t^{-1}, ..., t^{-(m+1)}."""
-    if prec is None:
-        prec = _action_prec(ch)
-    key = (ch, g.exps, prec)
-    if key in _action_cache:
-        return _action_cache[key]
-    field = ch.field
-    m = ch.m
-    rho = build_rho(ch, g, prec)
-    drho = rho.derivative()
-    denom = invert_unit_series(LaurentSeries.t_power(field, m + 1, prec) * drho)
-    rho_pow = rho.pow(m + 1)
-    prefactor = rho_pow * denom
-    rho_inv = invert_unit_series(rho)
-    cols = []
-    power = LaurentSeries.one(field, prec)
-    for i in range(1, m + 2):
-        power = power * rho_inv  # rho(t)^{-i}
-        img = prefactor * power
-        if img.prec < 0:
-            raise AssertionError("insufficient working precision for the action")
-        pp = pole_part(img)
-        if pp.coeffs and pp.lead < -(m + 1):
-            raise AssertionError("action left the module (pole order > m+1)")
-        cols.append([pp.coeff(-j) for j in range(1, m + 2)])
-    mat = [[cols[j][i] for j in range(m + 1)] for i in range(m + 1)]
-    _action_cache[key] = mat
-    return mat
+    return _action(ch, g, range(-1, -ch.m - 2, -1))
 
 
 # -- brute-force H^1 ----------------------------------------------------------
@@ -172,91 +168,12 @@ def component_window(p):
     return p + 2
 
 
-def _binom_mod_p_rational(num, den, k, p):
-    """binom(num/den, k) reduced mod p; the lowest-terms denominator is a
-    unit mod p whenever den is, so the value is well defined."""
-    acc = Fraction(1)
-    alpha = Fraction(num, den)
-    for j in range(k):
-        acc *= alpha - j
-    for j in range(1, k + 1):
-        acc /= j
-    return (acc.numerator * pow(acc.denominator % p, p - 2, p)) % p
-
-
 def component_action_matrix(ch, g, r, L):
     """Action of g on the degree-(r mod m) component, levels l = 0..L-1
-    standing for the basis vector fields t^{r+lm} d/dt.
-
-    Entry (l', l) is binom((m+1-j)/m, l'-l) c(g)^{l'-l} with j = r+lm, the
-    coefficient expansion of t^{j-m-1}(1+c t^m)^{(m+1-j)/m}."""
-    key = ("comp", ch, g.exps, r, L)
-    if key in _action_cache:
-        return _action_cache[key]
-    field = ch.field
-    p, m = ch.p, ch.m
-    c = character_value(ch, g)
-    mat = [[0] * L for _ in range(L)]
-    cpow = [field.raw_one()]
-    for _ in range(L):
-        cpow.append(field.raw_mul(cpow[-1], c.idx))
-    for l in range(L):
-        j = r + l * m
-        for lp in range(l, L):
-            b = _binom_mod_p_rational(m + 1 - j, m, lp - l, p)
-            if b:
-                mat[lp][l] = field.raw_mul(field.raw_from_int(b), cpow[lp - l])
-    _action_cache[key] = mat
-    return mat
-
-
-def tangent_action_matrix(ch, g, K):
-    """Action of g on the depth-K truncation of the tangent module, in the
-    basis t^j d/dt, j = 0..K-1 (equivalently pole exponents j-(m+1)).
-
-    Built from the automorphism series directly; serves as the independent
-    cross-check of component_action_matrix."""
-    key = ("tangent", ch, g.exps, K)
-    if key in _action_cache:
-        return _action_cache[key]
-    field = ch.field
+    standing for the basis vector fields t^{r+lm} d/dt, that is the pole
+    exponents r + lm - m - 1."""
     m = ch.m
-    prec = K + 2 * (m + 2)
-    rho = build_rho(ch, g, prec)
-    # base image of t^{j-m-1}: rho^j / (t^{m+1} rho'(t))
-    q = invert_unit_series(LaurentSeries.t_power(field, m + 1, prec) * rho.derivative())
-    mat = [[0] * K for _ in range(K)]
-    rho_pow = LaurentSeries.one(field, prec)
-    for j in range(K):
-        img = rho_pow * q  # exponent offset: coefficient at l-m-1 feeds row l
-        if img.prec < K - m - 1:
-            raise AssertionError("insufficient working precision for the action")
-        for l in range(K):
-            mat[l][j] = img.coeff(l - m - 1)
-        rho_pow = rho_pow * rho
-    _action_cache[key] = mat
-    return mat
-
-
-def action_matrices_consistent(ch, g, K):
-    """Whether the closed-form component matrices agree with the
-    series-engine truncated action matrix up to depth K."""
-    full = tangent_action_matrix(ch, g, K)
-    m = ch.m
-    L = (K + m - 1) // m
-    for r in range(m):
-        comp = component_action_matrix(ch, g, r, L)
-        for l in range(L):
-            j = r + l * m
-            if j >= K:
-                continue
-            for lp in range(L):
-                jp = r + lp * m
-                if jp >= K:
-                    continue
-                if comp[lp][l] != full[jp][j]:
-                    return False
-    return True
+    return _action(ch, g, range(r - m - 1, r + L * m - m - 1, m))
 
 
 def _norm_matrix(field, A, p):
@@ -368,20 +285,13 @@ def h1_brute_force(ch):
     return {"dim": dim, "basis": reps}
 
 
-def is_cocycle(ch, cochain, exhaustive=True):
+def is_cocycle(ch, cochain):
     """Check the 1-cocycle conditions for values given on the generators."""
     field = ch.field
     p, s = ch.p, ch.s
     gens = [ch.generator(i) for i in range(1, s + 1)]
-    mats = [action_matrix(ch, g) for g in gens]
-    n = ch.m + 1
-    eye = linalg.identity(n)
-    for i, A in enumerate(mats):
-        norm = linalg.identity(n)
-        acc = eye
-        for _ in range(p - 1):
-            acc = linalg.mat_mul(field, acc, A)
-            norm = linalg.mat_add(field, norm, acc)
+    for i, g in enumerate(gens):
+        norm = _norm_matrix(field, action_matrix(ch, g), p)
         if any(linalg.mat_vec(field, norm, cochain.vals[i].vector())):
             return False
     for i in range(s):
@@ -436,38 +346,15 @@ def h1_closed_formula(p, s, m):
         raise ValueError("gcd(m, p) must be 1")
     total = 0
     a = -(m + 1)
-    a_seq = []
-    for i in range(1, s + 1):
-        a_seq.append(a)
+    for _ in range(s):
         total += ((m + 1) * (p - 1) + a) // p - -(-a // p)
         a = -(-a // p)  # ceil(a / p)
     return total
 
 
-def h1_formula_a_sequence(p, s, m):
-    """The auxiliary sequence a_i = -floor((m+1)/p^{i-1})."""
-    return [-((m + 1) // p ** (i - 1)) for i in range(1, s + 1)]
-
-
-def binom_mod_p(x_raw, k, p):
-    """binom(x, k) in F_p for x in F_p: x(x-1)...(x-k+1)/k!."""
-    num = 1
-    for j in range(k):
-        num = (num * ((x_raw - j) % p)) % p
-    den = 1
-    for j in range(1, k + 1):
-        den = (den * j) % p
-    return (num * pow(den, p - 2, p)) % p if p > 1 else 0
-
-
 def admissible_exponents(p, m, lo, hi):
     """Exponents i in [lo, hi] with binom(i/m, p-1) = 0 in F_p."""
-    minv = pow(m % p, p - 2, p)
-    out = []
-    for i in range(lo, hi + 1):
-        if binom_mod_p((i * minv) % p, p - 1, p) == 0:
-            out.append(i)
-    return out
+    return [i for i in range(lo, hi + 1) if binom_mod_p(i, m, p - 1, p) == 0]
 
 
 def h1_basis_cyclic(p, m, fielddesc, ch=None):

@@ -131,14 +131,3 @@ def mat_sub(field, a, b):
     t = field.tables()
     add, neg = t[0], t[2]
     return [[add[x][neg[y]] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_pow(field, a, n):
-    result = identity(len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(field, result, base)
-        base = mat_mul(field, base, base)
-        n >>= 1
-    return result

@@ -47,14 +47,6 @@ class NotReversible(ValueError):
     pass
 
 
-class RootDegreeDivisibleByP(ValueError):
-    pass
-
-
-class NotAOnePlusSeries(ValueError):
-    pass
-
-
 class ReductionIsZero(ValueError):
     pass
 
@@ -282,12 +274,6 @@ class LaurentSeries:
         return LaurentSeries(r.base, {e: r.raw_residue(c) for e, c in self.coeffs.items()},
                              self.prec)
 
-    def reduce_ring(self, m):
-        """Push coefficients along F_q[eps]/eps^n -> F_q[eps]/eps^m."""
-        r = self.ring
-        target = ArtinAlgebraDescriptor(r.base, m)
-        return LaurentSeries(target, {e: c[:m] for e, c in self.coeffs.items()}, self.prec)
-
     def lift_ring(self, target):
         """Zero-padded lift of coefficients into a larger Artin ring (or from the field)."""
         r = self.ring
@@ -347,22 +333,6 @@ class LaurentSeries:
             return "O(t^%s)" % (self.prec,)
         terms = ["%r*t^%d" % (self.coeff_elem(e), e) for e in sorted(self.coeffs)]
         return " + ".join(terms) + " + O(t^%s)" % (self.prec,)
-
-
-# -- string-dispatched arithmetic ----------------------------------------------
-
-def arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "derivative":
-        return a.derivative()
-    if op == "valuation":
-        return a.valuation()
-    raise ValueError("unknown op %r" % (op,))
 
 
 # -- inversion ----------------------------------------------------------------
@@ -486,39 +456,6 @@ def revert(a):
     else:
         raise AssertionError("reversion did not converge")
     return g.with_prec(a.prec)
-
-
-def mth_root_unit(a, m):
-    """The unique series x = 1 + higher with x^m = a; requires gcd(m, p) = 1.
-
-    Newton iteration on X^m - a; the derivative m X^{m-1} is a unit, so no
-    division by p ever occurs (binomial-series recursions would divide by
-    arbitrary integers and break in characteristic p).
-    """
-    r = a.ring
-    if m % r.p == 0:
-        raise RootDegreeDivisibleByP("gcd(m, p) must be 1")
-    one = LaurentSeries.one(r)
-    h = a - one
-    if not h.is_zero():
-        bad = [e for e, c in h.coeffs.items()
-               if e <= 0 and (ring_is_field(r) or r.raw_is_unit(c))]
-        if bad:
-            raise NotAOnePlusSeries("series is not 1 + (small part)")
-    nil = r.nilpotency
-    slack = (nil - 1) * max(0, -h.lead) if h.coeffs else 0
-    prec = a.prec - slack if a.prec < INF else INF
-    minv = r.raw_inv(r.raw_from_int(m))
-    x = one.with_prec(prec)
-    for _ in range(64):
-        err = x.pow(m) - a
-        if err.is_zero():
-            break
-        corr = err * invert_unit_series(x.pow(m - 1).scale(r.raw_from_int(m)))
-        x = (x - corr).with_prec(prec)
-    else:
-        raise AssertionError("m-th root iteration did not converge")
-    return x.with_prec(prec)
 
 
 # -- Weierstrass preparation --------------------------------------------------

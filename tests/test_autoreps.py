@@ -1,9 +1,12 @@
 """The order-p^s automorphism family rho_sigma and its ramification."""
 
+from fractions import Fraction
+
 import pytest
 
 from wildram.autoreps import (
     InvalidCharacter,
+    binom_mod_p,
     build_rho,
     character_value,
     default_precision,
@@ -17,6 +20,88 @@ from wildram.coeffring import make_field
 from wildram.series import LaurentSeries, compose, invert_unit_series
 
 from conftest import character_for, small_grid
+
+F5 = make_field(5)
+
+
+# -- reference constructions of rho, by Newton iteration ----------------------
+
+class RootDegreeDivisibleByP(ValueError):
+    pass
+
+
+def mth_root_unit(a, m):
+    """The series x = 1 + higher with x^m = a, for a = 1 + (terms of positive
+    valuation) over a field and gcd(m, p) = 1: Newton iteration on X^m - a,
+    whose derivative m X^{m-1} is a unit."""
+    r = a.ring
+    if m % r.p == 0:
+        raise RootDegreeDivisibleByP("gcd(m, p) must be 1")
+    x = LaurentSeries.one(r, a.prec)
+    for _ in range(64):
+        err = x.pow(m) - a
+        if err.is_zero():
+            return x
+        corr = err * invert_unit_series(x.pow(m - 1).scale(r.raw_from_int(m)))
+        x = (x - corr).with_prec(a.prec)
+    raise AssertionError("m-th root iteration did not converge")
+
+
+def rho_by_mth_root(field, c, m, prec):
+    """t / (1 + c t^m)^{1/m} through the m-th root of 1 + c t^m."""
+    base = LaurentSeries.make(field, {0: 1, m: c}, prec)
+    t = LaurentSeries.t_power(field, 1, prec)
+    return (t * invert_unit_series(mth_root_unit(base, m))).with_prec(prec)
+
+
+def rho_by_direct_hensel(field, c, m, prec):
+    """Newton solve of (1 + c t^m) T^m - t^m = 0 with T = t + higher."""
+    base = LaurentSeries.make(field, {0: 1, m: c}, prec)
+    tm = LaurentSeries.t_power(field, m, prec + m)
+    T = LaurentSeries.t_power(field, 1, prec)
+    for _ in range(64):
+        err = base * T.pow(m) - tm
+        if err.is_zero():
+            return T
+        dF = (base * T.pow(m - 1)).scale(m)
+        T = (T - err * invert_unit_series(dF)).with_prec(prec)
+    raise AssertionError("direct Hensel construction did not converge")
+
+
+def test_mth_root_unit():
+    a = LaurentSeries.make(F5, {0: 1, 1: 1}, 12).pow(3)
+    r = mth_root_unit(a, 3)
+    assert r == LaurentSeries.make(F5, {0: 1, 1: 1}, r.prec)
+    with pytest.raises(RootDegreeDivisibleByP):
+        mth_root_unit(a, 5)
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_closed_rho_matches_newton_constructions(p, s, m):
+    """The closed binomial series equals both Newton constructions bit for
+    bit, coefficients and precision, at the working precisions in use."""
+    ch = character_for(p, s, m)
+    for prec in (default_precision(p, m), 3 * (m + 2), 16 * (m + 2)):
+        for g in ch.group():
+            rho = build_rho(ch, g, prec)
+            c = character_value(ch, g)
+            assert rho == rho_by_mth_root(ch.field, c, m, prec)
+            assert rho == rho_by_direct_hensel(ch.field, c, m, prec)
+
+
+def test_binom_mod_p_matches_fractions():
+    """binom(num/den, k) mod p against exact rational binomials, for every
+    den < 25 prime to p, |num| <= 60 and k < 90."""
+    for den in range(1, 25):
+        for num in range(-60, 61):
+            x = Fraction(num, den)
+            b = Fraction(1)
+            for k in range(90):
+                for p in (2, 3, 5, 7):
+                    if den % p:
+                        want = b.numerator * pow(b.denominator, -1, p) % p
+                        assert binom_mod_p(num, den, k, p) == want, (num, den, k, p)
+                b = b * (x - k) / (k + 1)
 
 
 @pytest.mark.parametrize("p,s,m", small_grid())

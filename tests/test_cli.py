@@ -1,10 +1,16 @@
 """The batch front-end: config validation, reports, goldens, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import wildram
+from wildram import coeffring
 from wildram.cli import (
+    MAX_ARTIN_ORDER,
+    MAX_PRECISION,
     ConfigInvalid,
     UnknownTask,
     compare_golden,
@@ -117,6 +123,45 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path),
                  "--golden", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+def test_oversized_jobs_exit_2_before_building_fields(tmp_path, monkeypatch, capsys):
+    """Fields above q = 625 and precisions or Artin orders above their caps
+    are rejected as configuration errors with a message, before any field
+    is enumerated."""
+    real_modulus = coeffring._default_modulus
+    oversized = []
+
+    def guarded_modulus(p, d):
+        if p ** d > coeffring.MAX_FIELD_SIZE:
+            oversized.append((p, d))
+            raise MemoryError  # what enumerating and tabulating would end in
+        return real_modulus(p, d)
+
+    monkeypatch.setattr(coeffring, "_default_modulus", guarded_modulus)
+    gf2 = {"field": {"p": 2, "d": 1},
+           "character": {"s": 1, "m": 1, "vals": [[1]]}}
+    cfg_path = tmp_path / "job.json"
+    for cfg, pointer in [(sample_config(field={"p": 101, "d": 6}), "/field"),
+                         (sample_config(field={"p": 101, "d": 2}), "/field"),
+                         (sample_config(precision=10 ** 7, **gf2), "/precision"),
+                         (sample_config(precision=MAX_PRECISION + 1), "/precision"),
+                         (sample_config(artin_order=MAX_ARTIN_ORDER + 1),
+                          "/artin_order")]:
+        with pytest.raises(ConfigInvalid) as exc:
+            parse_config(cfg)
+        assert exc.value.pointer == pointer
+        assert str(exc.value).partition(": ")[2]
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.strip() != "config error at %s:" % pointer
+    assert not oversized
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
+    assert wildram.__version__ == declared
 
 
 def test_main_writes_output_file(tmp_path, capsys):

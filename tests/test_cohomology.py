@@ -10,8 +10,9 @@ from wildram.cohomology import (
     H2Engine,
     OneCochain,
     PolePartClass,
-    action_matrices_consistent,
+    action_matrix,
     classes_equal,
+    component_action_matrix,
     cocycle_class_vector,
     h1_basis_cyclic,
     h1_brute_force,
@@ -22,9 +23,31 @@ from wildram.cohomology import (
     module_action,
     split_condition,
 )
-from wildram.autoreps import group_mul, make_character
+from wildram.autoreps import build_rho, group_mul, make_character
+from wildram.series import LaurentSeries, invert_unit_series
 
 from conftest import character_for, small_grid
+
+
+def tangent_action_matrix(ch, g, K):
+    """Reference action of g on the depth-K truncation of the tangent
+    module, built from the automorphism series: in the basis t^j d/dt,
+    j = 0..K-1 (pole exponents j-m-1), column j is the image
+    rho^j / (t^{m+1} rho'(t)) of t^{j-m-1}."""
+    field = ch.field
+    m = ch.m
+    prec = K + 2 * (m + 2)
+    rho = build_rho(ch, g, prec)
+    q = invert_unit_series(LaurentSeries.t_power(field, m + 1, prec) * rho.derivative())
+    mat = [[0] * K for _ in range(K)]
+    rho_pow = LaurentSeries.one(field, prec)
+    for j in range(K):
+        img = rho_pow * q
+        assert img.prec >= K - m - 1, "insufficient working precision"
+        for row in range(K):
+            mat[row][j] = img.coeff(row - m - 1)
+        rho_pow = rho_pow * rho
+    return mat
 
 
 def random_pole_class(ch, rng):
@@ -125,8 +148,29 @@ def test_krull_dimension_sigma():
 @pytest.mark.parametrize("p,s,m", [(2, 1, 3), (3, 1, 2), (2, 2, 3)])
 def test_component_matrices_match_series_action(p, s, m):
     ch = character_for(p, s, m)
+    K = 3 * m + 3
+    L = (K + m - 1) // m
     for i in range(1, s + 1):
-        assert action_matrices_consistent(ch, ch.generator(i), 3 * m + 3)
+        g = ch.generator(i)
+        full = tangent_action_matrix(ch, g, K)
+        for r in range(m):
+            comp = component_action_matrix(ch, g, r, L)
+            levels = [l for l in range(L) if r + l * m < K]
+            for l in levels:
+                for lp in levels:
+                    assert comp[lp][l] == full[r + lp * m][r + l * m]
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_action_matrix_is_the_pole_block(p, s, m):
+    """On M the action is the series action's block on t^j d/dt, j <= m,
+    that is on the pole exponents -1, ..., -(m+1)."""
+    ch = character_for(p, s, m)
+    for g in ch.group():
+        full = tangent_action_matrix(ch, g, m + 1)
+        mat = action_matrix(ch, g)
+        assert mat == [[full[m - i][m - k] for k in range(m + 1)]
+                       for i in range(m + 1)]
 
 
 @pytest.mark.parametrize("p,s,m", [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2)])

@@ -1,5 +1,5 @@
 """Truncated Laurent series: ring operations, inversion, composition,
-reversion, roots and Weierstrass preparation."""
+reversion and Weierstrass preparation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +11,9 @@ from wildram.series import (
     LaurentSeries,
     NotAUnitSeries,
     NotReversible,
-    RootDegreeDivisibleByP,
     compose,
     holomorphic_part,
     invert_unit_series,
-    mth_root_unit,
     pole_part,
     revert,
     weierstrass_prepare,
@@ -197,14 +195,6 @@ def test_revert_needs_unit_linear_term():
     a = LaurentSeries.make(F5, {2: 1}, 8)
     with pytest.raises(NotReversible):
         revert(a)
-
-
-def test_mth_root_unit():
-    a = LaurentSeries.make(F5, {0: 1, 1: 1}, 12).pow(3)
-    r = mth_root_unit(a, 3)
-    assert r == LaurentSeries.make(F5, {0: 1, 1: 1}, r.prec)
-    with pytest.raises(RootDegreeDivisibleByP):
-        mth_root_unit(a, 5)
 
 
 def test_frobenius_power_on_series():
