@@ -8,7 +8,7 @@ the Moore-determinant quotient computes without expanding the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .coeffring import FieldElem, ArtinElem, ring_is_field
 from .series import LaurentSeries

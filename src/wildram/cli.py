@@ -25,7 +25,7 @@ from .autoreps import (
     verify_group_law,
 )
 from .coeffring import make_artin_algebra, make_field
-from .series import INF, LaurentSeries, invert_unit_series
+from .series import LaurentSeries, invert_unit_series
 
 SCHEMA = "wildram-report/1"
 KNOWN_TASKS = ("rho", "cohomology", "ascover", "deform", "predicates")
@@ -104,11 +104,6 @@ def parse_config(data):
         parsed.append(t)
     return {"field": field, "ch": ch, "artin_order": n,
             "precision": prec, "seed": seed, "tasks": parsed}
-
-
-def _enc(x):
-    """Field element -> coefficient vector."""
-    return list(x.field.idx_to_coeffs(x.idx))
 
 
 def task_rho(job):

@@ -200,6 +200,8 @@ class FieldDescriptor:
         coeffs = list(coeffs)
         if len(coeffs) > self.d:
             raise ValueError("coefficient vector longer than degree %d" % self.d)
+        if not all(isinstance(c, int) for c in coeffs):
+            raise TypeError("integer coefficients required")
         coeffs = coeffs + [0] * (self.d - len(coeffs))
         return FieldElem(self, self.coeffs_to_idx(coeffs))
 
@@ -561,9 +563,6 @@ class ArtinElem:
     def is_unit(self):
         return self.raw[0] != 0
 
-    def in_max_ideal(self):
-        return self.raw[0] == 0
-
     def residue(self):
         return FieldElem(self.ring.base, self.raw[0])
 
@@ -610,15 +609,6 @@ def make_artin_algebra(base, n):
 
 
 # -- generic helpers ----------------------------------------------------------
-
-def invert_unit(x):
-    """Exact inverse of a unit FieldElem or ArtinElem."""
-    if isinstance(x, FieldElem):
-        return FieldElem(x.field, x.field.raw_inv(x.idx))
-    if isinstance(x, ArtinElem):
-        return ArtinElem(x.ring, x.ring.raw_inv(x.raw))
-    raise TypeError("unsupported element type %r" % type(x))
-
 
 def p_power_root(x, e=1):
     """The unique y with y^{p^e} = x, by iterating the inverse Frobenius."""

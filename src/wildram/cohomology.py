@@ -9,8 +9,14 @@ sigma acts by the one binomial formula
 
 and every action matrix, on M and on the graded components of the tangent
 module, is a slice of it.  H^1 and H^2 are computed by exact linear algebra
-over k; alongside sit the closed dimension formula, the cyclic basis, the
-splitting criterion and the Krull dimension of the unobstructed locus.
+over k in one generator complex Hom_V(P, M), where P is the tensor product
+of the periodic resolutions of the s cyclic factors: the H^1 of each graded
+component, `is_cocycle`, the coboundaries behind `cocycle_class_vector`
+and the dimension of H^2 all read its differentials.  Only the coboundary
+test for 2-cochains given on all pairs of group elements, such as the
+obstruction cocycles, keeps the bar differential.  Alongside sit the closed
+dimension formula, the cyclic basis, the splitting criterion and the Krull
+dimension of the unobstructed locus.
 """
 
 from __future__ import annotations
@@ -186,6 +192,59 @@ def _norm_matrix(field, A, p):
     return norm
 
 
+def _multi_indices(s, n):
+    """The a in N^s with |a| = n, in decreasing lexicographic order."""
+    if s == 1:
+        return [(n,)]
+    return [(a,) + rest for a in range(n, -1, -1)
+            for rest in _multi_indices(s - 1, n - a)]
+
+
+def _complex(field, mats, p, top):
+    """Differentials d^0, ..., d^top of Hom_V(P, M), as row matrices.
+
+    P is the tensor product of the periodic resolutions of the cyclic
+    factors <sigma_j>, and mats are the generators' action matrices on M.
+    C^n has one block of size dim M for each a in N^s with |a| = n, in
+    decreasing lexicographic order, so the blocks of C^1 are the values on
+    sigma_1, ..., sigma_s.  The block of d^n from a - e_j to b is
+    (-1)^(b_1 + ... + b_{j-1}) times sigma_j - 1 when b_j is odd and
+    N_j = 1 + sigma_j + ... + sigma_j^{p-1} when b_j is even.  Z^1 is then
+    cut out by the norm and pairwise conditions and B^1 = ((sigma_j - 1) n)_j.
+    """
+    add, neg = field.tables()[0], field.tables()[2]
+    s, n = len(mats), len(mats[0])
+    minus_one = neg[1]
+    minus = [[[add[x][minus_one] if i == k else x for k, x in enumerate(row)]
+              for i, row in enumerate(A)] for A in mats]
+    norms = [_norm_matrix(field, A, p) for A in mats] if top >= 1 else None
+    out = []
+    src = {(0,) * s: 0}
+    for deg in range(top + 1):
+        tgt = _multi_indices(s, deg + 1)
+        ncols = len(src) * n
+        rows = []
+        for b in tgt:
+            block = [[0] * ncols for _ in range(n)]
+            sign = 0
+            for j in range(s):
+                if b[j]:
+                    off = src[b[:j] + (b[j] - 1,) + b[j + 1:]] * n
+                    X = minus[j] if b[j] % 2 else norms[j]
+                    for r in range(n):
+                        block[r][off:off + n] = (
+                            [neg[x] for x in X[r]] if sign % 2 else X[r])
+                sign += b[j]
+            rows.extend(block)
+        out.append(rows)
+        src = {a: k for k, a in enumerate(tgt)}
+    return out
+
+
+def _generator_matrices(ch):
+    return [action_matrix(ch, ch.generator(i)) for i in range(1, ch.s + 1)]
+
+
 def _component_h1(ch, r):
     """H^1 data of one graded component: window-class dimension, an
     echelonized coboundary window basis, and class representatives as
@@ -194,29 +253,10 @@ def _component_h1(ch, r):
     p, s = ch.p, ch.s
     L = component_depth(p)
     W = component_window(p)
-    gens = [ch.generator(i) for i in range(1, s + 1)]
-    mats = [component_action_matrix(ch, g, r, L) for g in gens]
-    eye = linalg.identity(L)
-
-    rows = []
-    for i, A in enumerate(mats):
-        norm = _norm_matrix(field, A, p)
-        for rr in range(L):
-            row = [0] * (s * L)
-            row[i * L:(i + 1) * L] = norm[rr]
-            rows.append(row)
-    for i in range(s):
-        for j in range(i + 1, s):
-            Ai_minus = linalg.mat_sub(field, mats[i], eye)
-            Aj_minus = linalg.mat_sub(field, mats[j], eye)
-            for rr in range(L):
-                row = [0] * (s * L)
-                row[j * L:(j + 1) * L] = Ai_minus[rr]
-                seg = row[i * L:(i + 1) * L]
-                row[i * L:(i + 1) * L] = [field.raw_sub(a, b)
-                                          for a, b in zip(seg, Aj_minus[rr])]
-                rows.append(row)
-    zbasis = linalg.nullspace(field, rows, s * L)
+    mats = [component_action_matrix(ch, ch.generator(i), r, L)
+            for i in range(1, s + 1)]
+    d0, d1 = _complex(field, mats, p, 1)
+    zbasis = linalg.nullspace(field, d1, s * L)
 
     def window(v):
         out = []
@@ -225,14 +265,7 @@ def _component_h1(ch, r):
         return out
 
     zproj = [window(v) for v in zbasis]
-    cob = []
-    for col in range(L):
-        img = []
-        for A in mats:
-            img.extend(field.raw_sub(A[rr][col], 1 if rr == col else 0)
-                       for rr in range(W))
-        cob.append(img)
-    bred, bpivots = linalg.rref(field, cob)
+    bred, bpivots = linalg.rref(field, [window(col) for col in zip(*d0)])
     dim = linalg.rank(field, zproj + [list(rr) for rr in bred]) - len(bred)
 
     reps = []
@@ -257,13 +290,13 @@ def _component_h1(ch, r):
 def h1_brute_force(ch):
     """dim_k H^1 and a deterministic basis of class representatives.
 
-    Cocycles on the graded components of the tangent module are cut out on
-    generator values by the norm conditions
+    Cocycles on the graded components of the tangent module are the kernel
+    of d^1 on generator values: the norm conditions
     (1 + sigma_i + ... + sigma_i^{p-1}) x_i = 0 and the pairwise
     compatibility x_i + sigma_i x_j = x_j + sigma_j x_i; coboundaries are
-    ((sigma_i - 1) n)_i.  Classes are compared through the low-degree
-    window of each component, where the computation has stabilized; the
-    components are assembled in order of increasing degree.
+    the image ((sigma_i - 1) n)_i of d^0.  Classes are compared through the
+    low-degree window of each component, where the computation has
+    stabilized; the components are assembled in order of increasing degree.
     """
     p, s, m = ch.p, ch.s, ch.m
     if ch.order() > 125:
@@ -287,21 +320,8 @@ def h1_brute_force(ch):
 
 def is_cocycle(ch, cochain):
     """Check the 1-cocycle conditions for values given on the generators."""
-    field = ch.field
-    p, s = ch.p, ch.s
-    gens = [ch.generator(i) for i in range(1, s + 1)]
-    for i, g in enumerate(gens):
-        norm = _norm_matrix(field, action_matrix(ch, g), p)
-        if any(linalg.mat_vec(field, norm, cochain.vals[i].vector())):
-            return False
-    for i in range(s):
-        for j in range(i + 1, s):
-            xi, xj = cochain.vals[i], cochain.vals[j]
-            lhs = xi + module_action(ch, gens[i], xj)
-            rhs = xj + module_action(ch, gens[j], xi)
-            if not (lhs - rhs).is_zero():
-                return False
-    return True
+    d1 = _complex(ch.field, _generator_matrices(ch), ch.p, 1)[1]
+    return not any(linalg.mat_vec(ch.field, d1, cochain.vector()))
 
 
 _coboundary_cache = {}
@@ -309,19 +329,10 @@ _coboundary_cache = {}
 
 def _coboundary_data(ch):
     """Echelonized basis of the coboundaries ((sigma_i - 1) n)_i of the
-    pole-part module, as s(m+1)-coordinate vectors."""
+    pole-part module, as s(m+1)-coordinate vectors: the columns of d^0."""
     if ch not in _coboundary_cache:
-        field = ch.field
-        n = ch.m + 1
-        mats = [action_matrix(ch, ch.generator(i)) for i in range(1, ch.s + 1)]
-        rows = []
-        for col in range(n):
-            img = []
-            for A in mats:
-                img.extend(field.raw_sub(A[r][col], 1 if r == col else 0)
-                           for r in range(n))
-            rows.append(img)
-        _coboundary_cache[ch] = linalg.rref(field, rows)
+        d0 = _complex(ch.field, _generator_matrices(ch), ch.p, 0)[0]
+        _coboundary_cache[ch] = linalg.rref(ch.field, [list(c) for c in zip(*d0)])
     return _coboundary_cache[ch]
 
 
@@ -416,7 +427,8 @@ def krull_dimension_sigma(p, m):
 # -- brute-force H^2 ----------------------------------------------------------
 
 class H2Engine:
-    """Full 2-cocycle linear system plus a coboundary-membership tester."""
+    """H^2 from the generator complex, plus a coboundary-membership tester
+    for 2-cochains given on all pairs of group elements (the bar complex)."""
 
     def __init__(self, ch):
         if ch.order() > 27:
@@ -430,9 +442,8 @@ class H2Engine:
         self.n = n
         self.nvars2 = len(elems) ** 2 * n
         mats = {g.exps: action_matrix(ch, g) for g in elems}
-        self._mats = mats
 
-        # differential C^1 -> C^2: (d b)(s,t) = s.b(t) - b(st) + b(s)
+        # bar differential C^1 -> C^2: (d b)(s,t) = s.b(t) - b(st) + b(s)
         nv1 = len(elems) * n
         d_rows = []
         for s_ in elems:
@@ -450,11 +461,7 @@ class H2Engine:
                     row[si + r] = field.raw_add(row[si + r], 1)
                     d_rows.append(row)
         self._d1_rows = d_rows
-        self._d1_rref = linalg.rref(field, [list(col) for col in zip(*d_rows)])
-        self._b2_rank = len(self._d1_rref[0])
-
-    def _pair_index(self, g, h):
-        return (self.index[g.exps] * len(self.elems) + self.index[h.exps]) * self.n
+        self._gens = [mats[ch.generator(i).exps] for i in range(1, ch.s + 1)]
 
     def cochain_vector(self, table):
         """Flatten a dict (g.exps, h.exps) -> PolePartClass into coordinates."""
@@ -473,34 +480,14 @@ class H2Engine:
         return sol is not None
 
     def z2_dimension(self):
-        """dim of the full 2-cocycle space (expensive; small groups only)."""
-        field = self.ch.field
-        ch = self.ch
-        n = self.n
-        elems = self.elems
-        rows = []
-        for s_ in elems:
-            A = self._mats[s_.exps]
-            for t_ in elems:
-                st = group_mul(ch, s_, t_)
-                for u_ in elems:
-                    tu = group_mul(ch, t_, u_)
-                    for r in range(n):
-                        row = [0] * self.nvars2
-                        base = self._pair_index(t_, u_)
-                        for c in range(n):
-                            row[base + c] = field.raw_add(row[base + c], A[r][c])
-                        row[self._pair_index(st, u_) + r] = field.raw_sub(
-                            row[self._pair_index(st, u_) + r], 1)
-                        row[self._pair_index(s_, tu) + r] = field.raw_add(
-                            row[self._pair_index(s_, tu) + r], 1)
-                        row[self._pair_index(s_, t_) + r] = field.raw_sub(
-                            row[self._pair_index(s_, t_) + r], 1)
-                        rows.append(row)
-        return self.nvars2 - linalg.rank(field, rows)
+        """dim Z^2 = dim C^2 - rank d^2 in the generator complex."""
+        d2 = _complex(self.ch.field, self._gens, self.ch.p, 2)[2]
+        return len(d2[0]) - linalg.rank(self.ch.field, d2)
 
     def h2_dimension(self):
-        return self.z2_dimension() - self._b2_rank
+        """dim Z^2 - dim B^2, with dim B^2 = rank d^1."""
+        d1 = _complex(self.ch.field, self._gens, self.ch.p, 1)[1]
+        return self.z2_dimension() - linalg.rank(self.ch.field, d1)
 
     def d1_of(self, beta_table):
         """The 2-coboundary of a 1-cochain given as dict g.exps -> PolePartClass."""

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .autoreps import build_rho, character_value, default_precision, group_mul
-from .coeffring import ArtinElem, FieldElem, make_artin_algebra
+from .coeffring import FieldElem, make_artin_algebra
 from .cohomology import H2Engine, OneCochain, PolePartClass, is_cocycle
 from .series import (
     INF,
     LaurentSeries,
     compose,
     invert_unit_series,
-    pole_part,
     revert,
 )
 from .ascover import ReductionMismatch
@@ -39,12 +38,6 @@ class MatrixRep:
     ch: object
     C: dict    # exps tuple -> ArtinElem
     lam: dict  # exps tuple -> ArtinElem
-
-    def C_of(self, g):
-        return self.C[g.exps]
-
-    def lam_of(self, g):
-        return self.lam[g.exps]
 
 
 def make_matrix_rep(A, ch, Cgens, lamgens):

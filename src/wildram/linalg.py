@@ -125,9 +125,3 @@ def identity(n):
 def mat_add(field, a, b):
     add = field.tables()[0]
     return [[add[x][y] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(field, a, b):
-    t = field.tables()
-    add, neg = t[0], t[2]
-    return [[add[x][neg[y]] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

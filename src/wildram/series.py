@@ -467,9 +467,6 @@ class DistinguishedPolynomial:
     degree: int
     coeffs: tuple  # raw coefficients a_0 ... a_{m-1}
 
-    def coeff_elems(self):
-        return tuple(ArtinElem(self.ring, c) for c in self.coeffs)
-
     def to_series(self, prec=INF):
         terms = {self.degree: self.ring.raw_one()}
         for i, c in enumerate(self.coeffs):

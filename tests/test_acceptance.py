@@ -12,8 +12,6 @@ import math
 import random
 import time
 
-import pytest
-
 from wildram import ascover, cli, cohomology, deform, linalg
 from wildram.addpoly import (
     frobenius_minus_identity,

@@ -12,7 +12,7 @@ from wildram.addpoly import (
     moore_swap_identity_check,
     ppoly_apply,
 )
-from wildram.coeffring import FieldElem, make_field
+from wildram.coeffring import make_field
 from wildram.series import LaurentSeries
 
 from conftest import character_for

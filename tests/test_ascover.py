@@ -5,14 +5,12 @@ import pytest
 
 from wildram.addpoly import ppoly_apply
 from wildram.ascover import (
-    CoverClass,
     DependentMu,
     ReductionMismatch,
     build_u,
     class_reduce,
     conductor,
     deformed_u,
-    default_mu,
     downstairs_model,
     equivalent_covers,
     germ_model,

@@ -45,6 +45,8 @@ def test_parse_config_accepts_sample():
     (lambda c: c["field"].update(p=4), "/field"),
     (lambda c: c["character"].update(m=0), "/character/m"),
     (lambda c: c["character"].update(vals=[[1], [1]]), "/character/vals"),
+    pytest.param(lambda c: c["character"].update(vals=[[1.5]]), "/character/vals",
+                 id="<lambda>-/character/vals-float"),
     (lambda c: c.update(precision=2), "/precision"),
     (lambda c: c.update(seed="x"), "/seed"),
 ])

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wildram.coeffring import (
-    ArtinElem,
-    FieldElem,
     NotAUnit,
     ReducibleModulus,
     make_artin_algebra,

@@ -6,12 +6,11 @@ import random
 import pytest
 
 from wildram.ascover import ReductionMismatch
-from wildram.autoreps import build_rho, default_precision
+from wildram.autoreps import build_rho
 from wildram.cohomology import classes_equal
-from wildram.coeffring import make_artin_algebra, make_field
+from wildram.coeffring import make_artin_algebra
 from wildram.deform import (
     DeformationDatum,
-    NoSolution,
     cocycle_formula,
     cocycle_formula_cochain,
     conjugate_rep,
