@@ -40,6 +40,10 @@ class ReductionMismatch(ValueError):
     pass
 
 
+class NormalizationBroken(ArithmeticError):
+    """u = u1^{p^s} - u1 (or its deformation U) lost its defining shape."""
+
+
 @dataclass(frozen=True)
 class ASCover:
     """A cover y^{p^s} - y = rhs; rhs is an additive polynomial in f for the
@@ -129,7 +133,8 @@ def build_u(ch, mu=None):
             terms[nu + s] = o[nu] ** q
     u = PPolynomial.make(field, terms)
     for nu in range(s):
-        assert u.coeff(nu + s) == field.raw_neg(field.raw_pow(u.coeff(nu), q))
+        if u.coeff(nu + s) != field.raw_neg(field.raw_pow(u.coeff(nu), q)):
+            raise NormalizationBroken("u breaks a_{nu+s} = -a_nu^{p^s} at nu = %d" % nu)
     return {"u1": u1, "u": u, "o": o, "mu": mu}
 
 
@@ -324,7 +329,8 @@ def deformed_u(ch, mu, Cvals, ftilde):
     U = U1.frobenius_power(s) - U1
 
     u_red = ppoly_apply(build_u(ch, mu)["u"], ftilde.residue())
-    assert U.residue().eq_to_prec(u_red), "U does not reduce to u"
+    if not U.residue().eq_to_prec(u_red):
+        raise NormalizationBroken("U does not reduce to u")
 
     gdist, _unit = weierstrass_prepare(invert_unit_series(ftilde))
     return {"U": U, "U1": U1, "O": O,

@@ -33,6 +33,11 @@ class TooLarge(ValueError):
     pass
 
 
+class ClassCountMismatch(ArithmeticError):
+    """A graded component yielded a number of H^1 class representatives
+    other than its window-class dimension."""
+
+
 @dataclass(frozen=True)
 class PolePartClass:
     """Element of the twisted module: coefficients of t^{-1}, ..., t^{-(m+1)}."""
@@ -283,7 +288,9 @@ def _component_h1(ch, r):
             chosen_rows = [chosen_rows[k] for k in order]
             chosen_pivots = [chosen_pivots[k] for k in order]
             reps.append(w)
-    assert len(reps) == dim
+    if len(reps) != dim:
+        raise ClassCountMismatch("%d class representatives for a window-class dimension of %d"
+                                 % (len(reps), dim))
     return {"dim": dim, "reps": reps, "b_rref": bred, "b_pivots": bpivots}
 
 

@@ -7,6 +7,10 @@ Series are stored sparsely: a dict mapping exponent -> raw coefficient
 Over an Artin ring the interesting valuation is the *reduced* one (the
 valuation of the reduction modulo the maximal ideal); terms below it can
 exist but carry nilpotent coefficients.
+
+Composition is a sparse Horner scheme over the nonzero terms of the outer
+series: composing two rho, which lie in t k[[t^m]], takes a few powers
+inner^(km) and one product per nonzero term, not one product per exponent.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ class NotReversible(ValueError):
 
 
 class ReductionIsZero(ValueError):
+    pass
+
+
+class NotConverged(ArithmeticError):
     pass
 
 
@@ -140,11 +148,14 @@ class LaurentSeries:
     def truncate(self, prec):
         if prec >= self.prec:
             return self
-        return LaurentSeries(self.ring, self.coeffs, prec)
+        return self.with_prec(prec)
 
     def with_prec(self, prec):
         """Assert-free reinterpretation of precision (internal use)."""
-        return LaurentSeries(self.ring, self.coeffs, prec)
+        coeffs = self.coeffs
+        if prec < self.prec:
+            coeffs = {e: c for e, c in coeffs.items() if e < prec}
+        return LaurentSeries._clean(self.ring, coeffs, prec)
 
     # -- ring operations ------------------------------------------------------
 
@@ -172,7 +183,8 @@ class LaurentSeries:
 
     def __neg__(self):
         r = self.ring
-        return LaurentSeries(r, {e: r.raw_neg(c) for e, c in self.coeffs.items()}, self.prec)
+        return LaurentSeries._clean(r, {e: r.raw_neg(c) for e, c in self.coeffs.items()},
+                                   self.prec)
 
     def __mul__(self, other):
         """Product graded by eps.
@@ -233,8 +245,8 @@ class LaurentSeries:
 
     def shift(self, k):
         """Multiply by t^k."""
-        return LaurentSeries(self.ring, {e + k: c for e, c in self.coeffs.items()},
-                             self.prec + k if self.prec < INF else INF)
+        return LaurentSeries._clean(self.ring, {e + k: c for e, c in self.coeffs.items()},
+                                    self.prec + k if self.prec < INF else INF)
 
     def derivative(self):
         r = self.ring
@@ -367,7 +379,7 @@ def invert_unit_series(a):
             # the order actually achieved.
             return x.with_prec(min(prec, e.lead - a.lead))
         x = nxt
-    raise AssertionError("series inversion did not converge")
+    raise NotConverged("series inversion did not converge in 64 Newton steps")
 
 
 def pole_part(a):
@@ -388,6 +400,9 @@ def compose(outer, inner):
 
     inner must have reduced valuation >= 1; negative powers of inner go
     through invert_unit_series (so inner's reduction must be nonzero).
+    Both halves of outer go through the sparse Horner scheme of _horner:
+    the exponents >= 0 in powers of inner, the negated negative exponents
+    in powers of 1/inner.
     """
     if outer.ring != inner.ring:
         raise RingMismatch("incompatible coefficient rings")
@@ -409,31 +424,45 @@ def compose(outer, inner):
     else:
         cap = (outer.prec - (nil - 1)) * rv + (nil - 1) * min(inner.lead, rv)
 
-    hi = min(outer.prec - 1, max(outer.coeffs) if outer.coeffs else -1)
-    lo = outer.lead if outer.coeffs else 0
+    terms = sorted(outer.coeffs.items(), reverse=True)
+    pos = [(e, c) for e, c in terms if e >= 0]
+    neg = [(-e, c) for e, c in reversed(terms) if e < 0]
+    zero = LaurentSeries.zero(r)
+    # Each half starts from the precision a Horner loop over every exponent
+    # has on reaching the top term: the nonnegative half after one product
+    # zero * inner, the poles after none.
+    result = _horner(pos, inner, zero * inner) if pos else zero
+    if neg:
+        result = result + _horner(neg, invert_unit_series(inner), zero)
+    return result.truncate(cap)
 
-    # nonnegative-exponent part by Horner, top down
-    acc = LaurentSeries.zero(r)
-    if hi >= 0:
-        for k in range(hi, -1, -1):
-            acc = acc * inner
-            c = outer.coeff(k)
-            if not r.raw_is_zero(c):
-                acc = acc + LaurentSeries(r, {0: c}, INF)
-    result = acc
-    # negative-exponent part: Horner in 1/inner
-    if lo < 0:
-        inv = invert_unit_series(inner)
-        accn = LaurentSeries.zero(r)
-        for k in range(lo, 0):
-            if not accn.is_zero():
-                accn = accn * inv
-            c = outer.coeff(k)
-            if not r.raw_is_zero(c):
-                accn = accn + LaurentSeries(r, {0: c}, INF)
-        accn = accn * inv
-        result = result + accn
-    return result.truncate(cap) if cap < result.prec else result
+
+def _horner(terms, base, acc):
+    """Sum of c base^j over terms, pairs (j, c) in decreasing j >= 0, added
+    onto the zero series acc by Horner's rule with a step of base^gap between
+    two terms (each distinct gap's power computed once) and base^(j_min) last.
+
+    Each step is cut to the precision that gap steps of base^1 reach,
+    min(A + gap L, P + a + (gap - 1) L) for acc of precision A and lead a and
+    base of precision P and lead L; a power of a base with nilpotent terms
+    below its reduced valuation can know more.
+    """
+    ring, lead, prec = base.ring, base.lead, base.prec
+    powers = {1: base}
+
+    def step(acc, gap):
+        if gap not in powers:
+            powers[gap] = base.pow(gap)
+        target = min(acc.prec + gap * lead, prec + acc.lead + (gap - 1) * lead)
+        return (acc * powers[gap]).with_prec(target)
+
+    top = None
+    for j, c in terms:
+        if top is not None:
+            acc = step(acc, top - j)
+        acc = acc + LaurentSeries(ring, {0: c}, INF)
+        top = j
+    return step(acc, top) if top else acc
 
 
 def revert(a):
@@ -454,7 +483,7 @@ def revert(a):
             break
         g = (g - err * invert_unit_series(compose(da, g))).with_prec(a.prec)
     else:
-        raise AssertionError("reversion did not converge")
+        raise NotConverged("reversion did not converge in 64 Newton steps")
     return g.with_prec(a.prec)
 
 

@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and no
+library module checks an invariant with ``assert``, which ``python -O``
+strips.
 
-The package's ``__init__.py`` is skipped, since its imports are the public
-re-exports, and so is ``from __future__``.
+The import scan skips the package's ``__init__.py``, since its imports are
+the public re-exports, and ``from __future__``.
 """
 
 import ast
@@ -12,7 +14,8 @@ import pytest
 import wildram
 
 SRC = pathlib.Path(wildram.__file__).resolve().parent
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
+MODULES = [name for name in ALL_MODULES if name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -42,3 +45,22 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def bare_asserts(source):
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_assert_scanner_flags_every_assert():
+    source = ("assert x\n"
+              "def f(y):\n"
+              "    assert y, 'message'\n"
+              "    if not y:\n"
+              "        raise ValueError('y')\n")
+    assert bare_asserts(source) == [1, 3]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_bare_asserts(module):
+    assert bare_asserts((SRC / module).read_text()) == []

@@ -4,13 +4,17 @@ reversion and Weierstrass preparation."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wildram.autoreps import build_rho
 from wildram.coeffring import make_artin_algebra, make_field, ring_is_field
 from wildram.series import (
     INF,
+    CompositionDiverges,
     DistinguishedPolynomial,
     LaurentSeries,
     NotAUnitSeries,
+    NotConverged,
     NotReversible,
+    ValuationOfZero,
     compose,
     holomorphic_part,
     invert_unit_series,
@@ -18,6 +22,8 @@ from wildram.series import (
     revert,
     weierstrass_prepare,
 )
+
+from conftest import character_for, small_grid
 
 F5 = make_field(5)
 F4 = make_field(2, 2)
@@ -179,6 +185,127 @@ def test_compose_is_substitution_on_powers(inner0):
     direct = inner.pow(2).scale(F5.from_int(3)) + inner.pow(5)
     got = compose(outer, inner)
     assert got == direct.truncate(got.prec)
+
+
+def dense_compose(outer, inner):
+    """Reference composition by dense Horner: one product per exponent of
+    outer, from its top exponent down to 0 in powers of inner and from its
+    lowest exponent up to -1 in powers of 1/inner.  An accumulator that a
+    product has left with no known term is still multiplied, since the
+    precision it carries is all that is known of it."""
+    r = outer.ring
+    if inner.is_zero():
+        if outer.lead < 0:
+            raise CompositionDiverges("inner series is zero")
+        return LaurentSeries(r, {0: outer.coeff(0)}, inner.prec)
+    try:
+        rv = inner.reduced_valuation()
+    except ValuationOfZero:
+        raise CompositionDiverges("inner reduces to zero")
+    if rv < 1:
+        raise CompositionDiverges("inner valuation must be >= 1")
+    nil = r.nilpotency
+    if outer.prec >= INF:
+        cap = INF
+    else:
+        cap = (outer.prec - (nil - 1)) * rv + (nil - 1) * min(inner.lead, rv)
+    hi = min(outer.prec - 1, max(outer.coeffs) if outer.coeffs else -1)
+    lo = outer.lead if outer.coeffs else 0
+    acc = LaurentSeries.zero(r)
+    for k in range(hi, -1, -1):
+        acc = acc * inner
+        c = outer.coeff(k)
+        if not r.raw_is_zero(c):
+            acc = acc + LaurentSeries(r, {0: c}, INF)
+    result = acc
+    if lo < 0:
+        inv = invert_unit_series(inner)
+        accn = LaurentSeries.zero(r)
+        for k in range(lo, 0):
+            if k > lo:
+                accn = accn * inv
+            c = outer.coeff(k)
+            if not r.raw_is_zero(c):
+                accn = accn + LaurentSeries(r, {0: c}, INF)
+        accn = accn * inv
+        result = result + accn
+    return result.truncate(cap)
+
+
+@st.composite
+def sparse_outer(draw, ring):
+    """A sparse outer series: up to six nonzero terms from t^start on, gaps
+    of 1 to 6 between them, poles allowed, finite or INF precision."""
+    field = ring_is_field(ring)
+    q = ring.q if field else ring.base.q
+    coeff = st.integers(1, q - 1) if field else st.tuples(
+        *[st.integers(0, q - 1)] * ring.n).filter(any)
+    exps = [draw(st.integers(-12, 4))]
+    for gap in draw(st.lists(st.integers(1, 6), max_size=5)):
+        exps.append(exps[-1] + gap)
+    terms = {e: draw(coeff) for e in exps}
+    prec = draw(st.one_of(st.just(INF), st.integers(exps[0] - 1, exps[-1] + 4)))
+    return LaurentSeries(ring, terms, prec)
+
+
+@pytest.mark.parametrize("ring", [F5, F9, F4_EPS2, F9_EPS3],
+                         ids=["F5", "F9", "F4_eps2", "F9_eps3"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_dense_horner(ring, data):
+    outer = data.draw(sparse_outer(ring))
+    inner = data.draw(ring_series(ring, lo=1, hi=6))
+    if outer.lead < 0 and inner.prec >= INF:
+        # 1/inner is exact only for a monomial, so poles meet a finite inner
+        inner = inner.truncate(data.draw(st.integers(inner.lead + 1, 14)))
+    try:
+        want = dense_compose(outer, inner)
+    except (CompositionDiverges, NotConverged) as exc:
+        with pytest.raises(type(exc)):
+            compose(outer, inner)
+        return
+    got = compose(outer, inner)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_compose_rho_pairs_match_dense_horner(p, s, m):
+    ch = character_for(p, s, m)
+    rhos = [build_rho(ch, g) for g in ch.group()]
+    for a in rhos:
+        for b in rhos:
+            got, want = compose(a, b), dense_compose(a, b)
+            assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_compose_rho_product_count(monkeypatch):
+    """rho has 9 nonzero terms below t^400 at (5,2,19), with gaps 19 and 76
+    between them: two powers of inner and one product per term, not one
+    product per exponent."""
+    ch = character_for(5, 2, 19)
+    a, b = (build_rho(ch, ch.generator(i), 400) for i in (1, 2))
+    calls = []
+    mul = LaurentSeries.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    compose(a, b)
+    assert len(calls) <= 40
+
+
+def test_compose_multiplies_an_accumulator_with_no_known_term():
+    """(t + eps + O(t^2))^(-4) = t^-4 - 4 eps t^-5 + ...: 1/inner is known
+    only to O(t^-2), so every product of the chain keeps lowering the
+    precision, also once nothing of the accumulator is known."""
+    A = make_artin_algebra(F5, 2)
+    eps = A.eps()
+    inner = LaurentSeries.make(A, {1: 1, 0: eps}, 2)
+    exact = LaurentSeries.make(A, {-4: 1, -5: eps * A.from_int(-4)})
+    got = compose(LaurentSeries.t_power(A, -4), inner)
+    assert got.eq_to_prec(exact)
 
 
 def test_revert_roundtrip():
