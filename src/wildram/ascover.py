@@ -44,6 +44,19 @@ class NormalizationBroken(ArithmeticError):
     """u = u1^{p^s} - u1 (or its deformation U) lost its defining shape."""
 
 
+class UnreducedRepresentative(ArithmeticError):
+    """A class representative has a pole exponent divisible by p^s."""
+
+
+class NotInQuotientField(ArithmeticError):
+    """A series expanded downstairs does not lie in k((x))."""
+
+
+class ExpansionPrecisionExhausted(ArithmeticError):
+    """A series is not known to the pole that the downstairs expansion
+    peels next."""
+
+
 @dataclass(frozen=True)
 class ASCover:
     """A cover y^{p^s} - y = rhs; rhs is an additive polynomial in f for the
@@ -216,7 +229,7 @@ def conductor(cls):
             n //= p
             nu += 1
         if nu >= cls.s:
-            raise AssertionError("representative is not reduced")
+            raise UnreducedRepresentative("representative is not reduced")
         best = max(best, n)
     return best
 
@@ -251,7 +264,7 @@ def expand_downstairs(x, g, s):
     if g.lead >= 0:
         return {}
     if (-g.lead) % q:
-        raise AssertionError("series does not lie in k((x))")
+        raise NotInQuotientField("series does not lie in k((x))")
     out = {}
     n = g.lead // q
     xpow = invert_unit_series(x).pow(-n)  # x^n for the starting n < 0
@@ -259,9 +272,10 @@ def expand_downstairs(x, g, s):
     while n < 0:
         lead_e = q * n
         if r.prec <= lead_e:
-            raise AssertionError("insufficient precision for the expansion")
+            raise ExpansionPrecisionExhausted(
+                "insufficient precision for the expansion")
         if r.lead < lead_e:
-            raise AssertionError("series does not lie in k((x))")
+            raise NotInQuotientField("series does not lie in k((x))")
         b = r.coeff(lead_e)
         if not field.raw_is_zero(b):
             out[n] = b
@@ -269,7 +283,7 @@ def expand_downstairs(x, g, s):
         n += 1
         xpow = xpow * x
     if r.lead < 0:
-        raise AssertionError("series does not lie in k((x))")
+        raise NotInQuotientField("series does not lie in k((x))")
     return out
 
 

@@ -25,6 +25,11 @@ class ReducibleModulus(ValueError):
     pass
 
 
+class NoIrreducibleModulus(ArithmeticError):
+    """The search for a monic irreducible polynomial of a given degree
+    found none, though one exists in every degree."""
+
+
 class NotAUnit(ZeroDivisionError):
     pass
 
@@ -372,7 +377,7 @@ def _default_modulus(p, d):
         cand = tuple(low) + (1,)
         if _is_irreducible(cand, p):
             return cand
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+    raise NoIrreducibleModulus("no irreducible of degree %d mod %d" % (d, p))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .autoreps import build_rho, character_value, default_precision, group_mul
+from .autoreps import (
+    build_rho,
+    character_value,
+    default_precision,
+    group_mul,
+    group_pow,
+)
 from .coeffring import FieldElem, make_artin_algebra
 from .cohomology import H2Engine, OneCochain, PolePartClass, is_cocycle
 from .series import (
@@ -169,32 +175,75 @@ def make_datum(ch, lambda1, delta, a1):
 def deformed_rho(rep, ftilde, g, prec=None):
     """The unique T in A[[t]] with T = rho_g mod m_A and
     ftilde(T) = lam(g) ftilde + C(g), by Newton iteration along the
-    nilpotent filtration."""
+    nilpotent filtration from T = rho_g.
+
+    Certificate.  The iteration stops once err = ftilde(T) - rhs vanishes
+    below t^(prec - m - 1): the eps-linear part of err is -m rho_g^(-m-1)
+    times the error of T, so this fixes T mod t^prec.  T is returned only
+    if the series operations track err as known to t^(prec - m - 1) and T
+    as known to t^prec.
+
+    Working precision.  Let n = A.n, a = -ftilde.lead and gap = a - m,
+    how far the nilpotent terms of ftilde reach below its reduced
+    valuation -m.  The solve starts at prec plus the losses that the
+    precision rules of series charge one Newton step:
+    - gap, for the window: compose(ftilde, T), for T = rho_g + O(eps t),
+      is known a + 1 below T.prec (2 for inverting T, 1 per further pole
+      step), so T must be known to prec + gap;
+    - n(a + 2) for compose(ftilde', T): the a + 1 poles of ftilde' go
+      through 1/T, at 2n for inverting T and n per further step, the most
+      a T with nilpotent terms at t^0 costs;
+    - 2(n - 1) gap - 2(m + 1) for invert_unit_series on ftilde'(T), of
+      reduced valuation -(m + 1) with nilpotent terms gap below it;
+    - m for the product with err, whose lead is at least -m.
+    Over the dual numbers T keeps lead 1, so n(a + 2) is generous; the
+    margin absorbs the stopping rule of invert_unit_series, which can
+    certify less than it requests.  A run that falls short is repeated
+    from rho_g with the working precision raised by its whole loss, work
+    minus the precision it certified; the solve fails when a rerun
+    certifies no more.  Raising by the deficit alone can stall, since the
+    precision invert_unit_series certifies is not monotone in the
+    precision of its input.
+    """
     A, ch = rep.A, rep.ch
     if prec is None:
         prec = default_precision(ch.p, ch.m)
-    work = prec + 3 * (A.n + 1) * (ch.m + 2)
-    T = build_rho(ch, g, work).lift_ring(A)
+    n, m = A.n, ch.m
+    a = -ftilde.lead
+    gap = max(0, a - m)
     rhs = ftilde.scale(rep.lam[g.exps]) + \
         LaurentSeries.make(A, {0: rep.C[g.exps]}, INF)
     dft = ftilde.derivative()
-    for _ in range(A.n + 2):
-        err = compose(ftilde, T) - rhs
-        if err.truncate(prec - ch.m - 1).is_zero():
-            break
-        T = T - err * invert_unit_series(compose(dft, T))
-    else:
-        raise NoSolution("Newton iteration for the deformed automorphism "
-                         "did not converge")
-    if T.prec < prec:
-        raise NoSolution("insufficient working precision")
-    return T.truncate(prec)
+    work = prec + gap + n * (a + 2) + 2 * (n - 1) * gap - (m + 2)
+    before = -INF
+    while True:
+        T = build_rho(ch, g, work).lift_ring(A)
+        for _ in range(n + 2):
+            err = compose(ftilde, T) - rhs
+            if err.truncate(prec - m - 1).is_zero():
+                break
+            T = T - err * invert_unit_series(compose(dft, T))
+        else:
+            raise NoSolution("Newton iteration for the deformed automorphism "
+                             "did not converge")
+        reached = min(T.prec, err.prec + m + 1)
+        if reached >= prec:
+            return T.truncate(prec)
+        if reached <= before:
+            raise NoSolution("insufficient working precision: a rerun at "
+                             "higher precision certified no more")
+        before = reached
+        work += work - reached
 
 
 def tangent_cocycle_extract(rep, ftilde, prec=None):
     """The 1-cochain sigma -> pole part of h_sigma / t^{m+1} where
     rho~_sigma o rho_sigma^{-1}(t) = t + eps h_sigma(t); verified to be a
-    cocycle for the pole-part module action."""
+    cocycle for the pole-part module action.
+
+    rho~_sigma comes from deformed_rho at its derived working precision.
+    rho_sigma^{-1} needs no reversion: sigma^(p-1) is the inverse of sigma
+    in V, so rho_sigma^{-1} = rho_{sigma^(p-1)}, built in closed form."""
     A, ch = rep.A, rep.ch
     if A.n != 2:
         raise ValueError("tangent extraction needs the dual numbers")
@@ -205,7 +254,7 @@ def tangent_cocycle_extract(rep, ftilde, prec=None):
     for i in range(1, ch.s + 1):
         g = ch.generator(i)
         T = deformed_rho(rep, ftilde, g, prec)
-        rho_inv = revert(build_rho(ch, g, prec)).lift_ring(A)
+        rho_inv = build_rho(ch, group_pow(ch, g, ch.p - 1), prec).lift_ring(A)
         diff = compose(T, rho_inv) - t_A
         if diff.prec < ch.m + 2:
             raise NoSolution("insufficient precision for the pole window")

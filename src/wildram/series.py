@@ -59,6 +59,16 @@ class NotConverged(ArithmeticError):
     pass
 
 
+class InverseNotFinite(ValueError):
+    """The inverse of an exact series whose reduction has more than one
+    term has infinitely many terms."""
+
+
+class NotDistinguished(ArithmeticError):
+    """A Weierstrass factor g has a non-leading coefficient outside the
+    maximal ideal."""
+
+
 def _raw(ring, x):
     if isinstance(x, FieldElem):
         if not ring_is_field(ring):
@@ -354,12 +364,17 @@ def invert_unit_series(a):
 
     The leading coefficient of the reduction must be nonzero; over an Artin
     ring terms with nilpotent coefficients may sit below the reduced valuation.
+    An exact (INF) input must reduce to a monomial: otherwise its inverse has
+    infinitely many terms and InverseNotFinite is raised.
     """
     r = a.ring
     try:
         rv = a.reduced_valuation()
     except ValuationOfZero:
         raise NotAUnitSeries("series is zero modulo the maximal ideal")
+    if a.prec >= INF and len(a.residue().coeffs) > 1:
+        raise InverseNotFinite("exact series whose reduction has more than "
+                               "one term")
     nil = r.nilpotency
     slack = 2 * (nil - 1) * max(0, rv - a.lead)
     prec = a.prec - 2 * rv - slack if a.prec < INF else INF
@@ -546,7 +561,7 @@ def weierstrass_prepare(f):
     for i in range(m):
         c = r.raw_neg(rrem.coeff(i))
         if c[0] != 0:
-            raise AssertionError("distinguished coefficient not in the maximal ideal")
+            raise NotDistinguished("distinguished coefficient not in the maximal ideal")
         g_coeffs.append(c)
     g = DistinguishedPolynomial(r, m, tuple(g_coeffs))
     u = invert_unit_series(q)

@@ -17,7 +17,7 @@ from wildram.autoreps import (
     verify_group_law,
 )
 from wildram.coeffring import make_field
-from wildram.series import LaurentSeries, compose, invert_unit_series
+from wildram.series import LaurentSeries, compose, invert_unit_series, revert
 
 from conftest import character_for, small_grid
 
@@ -115,6 +115,19 @@ def test_defining_equation(p, s, m):
         rhs = LaurentSeries.t_power(ch.field, -m, lhs.prec) + \
             LaurentSeries.make(ch.field, {0: character_value(ch, g)}, lhs.prec)
         assert lhs.eq_to_prec(rhs)
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_inverse_is_rho_of_inverse_element(p, s, m):
+    """rho_g^{-1} = rho_{g^(p-1)}, coefficients and precision, against the
+    Newton reversion, at the precisions of the tangent window, of the
+    extraction and of the default."""
+    ch = character_for(p, s, m)
+    for prec in (m + 2, 3 * (m + 2), default_precision(p, m)):
+        for g in ch.group():
+            closed = build_rho(ch, group_pow(ch, g, p - 1), prec)
+            reverted = revert(build_rho(ch, g, prec))
+            assert (closed.coeffs, closed.prec) == (reverted.coeffs, reverted.prec)
 
 
 def test_identity_is_identity_series():

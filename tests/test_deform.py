@@ -11,6 +11,7 @@ from wildram.cohomology import classes_equal
 from wildram.coeffring import make_artin_algebra
 from wildram.deform import (
     DeformationDatum,
+    NoSolution,
     cocycle_formula,
     cocycle_formula_cochain,
     conjugate_rep,
@@ -24,7 +25,7 @@ from wildram.deform import (
 )
 from wildram.series import INF, LaurentSeries, compose, invert_unit_series
 
-from conftest import character_for
+from conftest import character_for, small_grid
 
 
 def seeded_datum(ch, rng):
@@ -79,6 +80,83 @@ def test_deformed_rho_small_oracle():
     den = LaurentSeries.make(A, {0: A.one(), 1: A.one()}, 30) + eps
     expected = num * invert_unit_series(den) - eps
     assert T.eq_to_prec(expected)
+
+
+def fixed_work_deformed_rho(rep, ftilde, g, prec):
+    """The Newton solve at the fixed working precision prec + 3(n+1)(m+2),
+    an over-provision fitted to the grid: the oracle for the working
+    precision that deformed_rho derives and certifies."""
+    A, ch = rep.A, rep.ch
+    work = prec + 3 * (A.n + 1) * (ch.m + 2)
+    T = build_rho(ch, g, work).lift_ring(A)
+    rhs = ftilde.scale(rep.lam[g.exps]) + \
+        LaurentSeries.make(A, {0: rep.C[g.exps]}, INF)
+    dft = ftilde.derivative()
+    for _ in range(A.n + 2):
+        err = compose(ftilde, T) - rhs
+        if err.truncate(prec - ch.m - 1).is_zero():
+            break
+        T = T - err * invert_unit_series(compose(dft, T))
+    assert err.truncate(prec - ch.m - 1).is_zero() and T.prec >= prec
+    return T.truncate(prec)
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_deformed_rho_matches_fixed_work_oracle(p, s, m):
+    """Coefficients and precision equal the fixed-work solve: seeded data
+    over eps^2 at every group element, and the trivial datum with
+    ftilde = t^-m over eps^3 and eps^4, as the deform task lifts it."""
+    ch = character_for(p, s, m)
+    rng = random.Random(100 * p + 10 * s + m)
+    prec = 3 * (m + 2)
+    cases = []
+    for _ in range(2):
+        datum = seeded_datum(ch, rng)
+        cases.append((datum.matrix_rep(), datum.ftilde(16 * (m + 2)),
+                      [g for g in ch.group() if not g.is_identity()]))
+    for order in (3, 4):
+        A = make_artin_algebra(ch.field, order)
+        cases.append((trivial_rep(A, ch), LaurentSeries.t_power(A, -m, 8 * prec),
+                      [ch.generator(i) for i in range(1, s + 1)]))
+    for rep, ftilde, elements in cases:
+        for g in elements:
+            got = deformed_rho(rep, ftilde, g, prec)
+            want = fixed_work_deformed_rho(rep, ftilde, g, prec)
+            assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_deformed_rho_refuses_an_equation_known_short_of_the_window():
+    """ftilde known only below t^0 leaves err = ftilde(T) - rhs unknown
+    from t^0 on, but T mod t^12 needs err below t^9; no working precision
+    makes up for that, so the solve refuses instead of returning a T that
+    the equation does not fix."""
+    ch = character_for(3, 1, 2)
+    datum = seeded_datum(ch, random.Random(4))
+    ftilde = datum.ftilde(2)
+    assert ftilde.prec == 0
+    with pytest.raises(NoSolution):
+        deformed_rho(datum.matrix_rep(), ftilde, ch.generator(1), 12)
+
+
+def test_tangent_extraction_product_count(monkeypatch):
+    """Timer-free cost guard: one extraction at (5,2,19) with ftilde at
+    16(m+2) visits at most 250 000 coefficient pairs in series products.
+    At the fixed working precision, with reversion for rho_g^{-1}, it
+    visited 585 270."""
+    ch = character_for(5, 2, 19)
+    datum = seeded_datum(ch, random.Random(19))
+    rep = datum.matrix_rep()
+    ftilde = datum.ftilde(16 * (ch.m + 2))
+    pairs = []
+    mul = LaurentSeries.__mul__
+
+    def counting_mul(a, b):
+        pairs.append(len(a.coeffs) * len(b.coeffs))
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+    tangent_cocycle_extract(rep, ftilde)
+    assert sum(pairs) <= 250_000
 
 
 def test_deformed_rho_reduces_to_rho():

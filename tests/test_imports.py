@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, and no
 library module checks an invariant with ``assert``, which ``python -O``
-strips.
+strips, or with a hand-raised ``AssertionError``, which names no invariant.
 
 The import scan skips the package's ``__init__.py``, since its imports are
 the public re-exports, and ``from __future__``.
@@ -47,9 +47,17 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def bare_asserts(source):
+    """Lines of ``assert`` statements and of ``raise AssertionError``."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Assert))
+                  if isinstance(node, ast.Assert) or _raises_assertion_error(node))
 
 
 def test_assert_scanner_flags_every_assert():
@@ -59,6 +67,18 @@ def test_assert_scanner_flags_every_assert():
               "    if not y:\n"
               "        raise ValueError('y')\n")
     assert bare_asserts(source) == [1, 3]
+
+
+def test_assert_scanner_flags_raised_assertion_errors():
+    source = ("def f(y):\n"
+              "    if y:\n"
+              "        raise AssertionError('unreachable')\n"
+              "    try:\n"
+              "        raise AssertionError\n"
+              "    except AssertionError:\n"
+              "        raise\n"
+              "    raise ValueError('y')\n")
+    assert bare_asserts(source) == [3, 5]
 
 
 @pytest.mark.parametrize("module", ALL_MODULES)

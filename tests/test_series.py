@@ -10,6 +10,7 @@ from wildram.series import (
     INF,
     CompositionDiverges,
     DistinguishedPolynomial,
+    InverseNotFinite,
     LaurentSeries,
     NotAUnitSeries,
     NotConverged,
@@ -143,6 +144,34 @@ def test_invert_rejects_nonunit():
     s = LaurentSeries.make(A, {0: eps}, 8)
     with pytest.raises(NotAUnitSeries):
         invert_unit_series(s)
+
+
+def test_invert_refuses_exact_series_with_infinite_inverse(monkeypatch):
+    """1/(1 + t) over F5 has infinitely many terms: an exact input is
+    refused before any product is formed, instead of growing forever."""
+    def no_products(a, b):
+        raise RuntimeError("a product was formed before the refusal")
+    monkeypatch.setattr(LaurentSeries, "__mul__", no_products)
+    for a in (LaurentSeries.make(F5, {0: 1, 1: 1}, INF),
+              LaurentSeries.make(F9_EPS3, {-1: (1, 0, 0), 3: (2, 1, 0)}, INF)):
+        with pytest.raises(InverseNotFinite):
+            invert_unit_series(a)
+
+
+def test_invert_exact_series_with_finite_inverse():
+    """Exact monomials invert, and so do exact inputs whose non-leading
+    terms are nilpotent: the inverse is then a finite geometric sum."""
+    mono = invert_unit_series(LaurentSeries.make(F5, {2: 3}, INF))
+    assert (mono.coeffs, mono.prec) == ({-2: 2}, INF)
+    A = make_artin_algebra(F5, 2)
+    eps = A.eps()
+    a = LaurentSeries.make(A, {0: A.one(), 1: eps}, INF)
+    inv = invert_unit_series(a)
+    assert inv == LaurentSeries.make(A, {0: A.one(), 1: -eps}, INF)
+    b = LaurentSeries.make(F9_EPS3, {-2: (0, 1, 0), 0: (1, 0, 0)}, INF)
+    inv = invert_unit_series(b)
+    assert inv.prec == INF
+    assert (b * inv).coeffs == LaurentSeries.one(F9_EPS3).coeffs
 
 
 def test_invert_with_nilpotent_terms_below_lead():
