@@ -41,6 +41,9 @@ class Character:
             raise InvalidCharacter("conductor must be >= 1 and coprime to p")
         if self.s >= 2 and self.m <= 1:
             raise InvalidCharacter("two-dimensionality forces m > 1 when s >= 2")
+        if self.s > self.field.d:
+            raise InvalidCharacter("s = %d values in GF(%d^%d) are F_p-dependent"
+                                   % (self.s, p, self.field.d))
         if not moore_det(list(self.vals)):
             raise InvalidCharacter("character values are F_p-dependent (rho not faithful)")
 
@@ -86,6 +89,17 @@ def group_mul(ch, g, h):
 def group_pow(ch, g, k):
     p = ch.p
     return GroupElem(tuple((a * k) % p for a in g.exps))
+
+
+def peeled(ch):
+    """Each non-identity g of V as (g, i, rest) with g = sigma_{i+1} rest and
+    i the first nonzero exponent of g, in ch.group() order, so that rest
+    always comes before g: tables over V fill in one pass."""
+    for g in ch.group():
+        i = next((j for j, e in enumerate(g.exps) if e), None)
+        if i is not None:
+            e = g.exps
+            yield g, i, GroupElem(e[:i] + (e[i] - 1,) + e[i + 1:])
 
 
 def character_value(ch, g):

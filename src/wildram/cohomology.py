@@ -11,10 +11,11 @@ and every action matrix, on M and on the graded components of the tangent
 module, is a slice of it.  H^1 and H^2 are computed by exact linear algebra
 over k in one generator complex Hom_V(P, M), where P is the tensor product
 of the periodic resolutions of the s cyclic factors: the H^1 of each graded
-component, `is_cocycle`, the coboundaries behind `cocycle_class_vector`
-and the dimension of H^2 all read its differentials.  Only the coboundary
-test for 2-cochains given on all pairs of group elements, such as the
-obstruction cocycles, keeps the bar differential.  Alongside sit the closed
+component, `is_cocycle`, the coboundaries behind `cocycle_class_vector`,
+the dimension of H^2 and the coboundary test for 2-cochains given on all
+pairs of group elements, such as the obstruction cocycles, all read its
+differentials; the last pulls the cochain back along the chain map from
+the periodic resolutions to the bar resolution.  Alongside sit the closed
 dimension formula, the cyclic basis, the splitting criterion and the Krull
 dimension of the unobstructed locus.
 """
@@ -24,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .autoreps import Character, binom_mod_p, character_value, group_mul
+from .autoreps import (Character, binom_mod_p, character_value, group_mul,
+                       group_pow, peeled)
 from .coeffring import FieldElem
-from .series import LaurentSeries, pole_part
+from .series import pole_part
 
 
 class TooLarge(ValueError):
@@ -67,12 +69,6 @@ class PolePartClass:
     def vector(self):
         return [c.idx for c in self.coeffs]
 
-    def to_series(self, prec=None):
-        from .series import INF
-        return LaurentSeries.make(self.ch.field,
-                                  {-i - 1: c for i, c in enumerate(self.coeffs)},
-                                  INF if prec is None else prec)
-
     def is_zero(self):
         return not any(self.coeffs)
 
@@ -81,12 +77,6 @@ class PolePartClass:
 
     def __sub__(self, other):
         return PolePartClass(self.ch, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return PolePartClass(self.ch, tuple(-a for a in self.coeffs))
-
-    def scale(self, c):
-        return PolePartClass(self.ch, tuple(a * c for a in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -434,57 +424,64 @@ def krull_dimension_sigma(p, m):
 # -- brute-force H^2 ----------------------------------------------------------
 
 class H2Engine:
-    """H^2 from the generator complex, plus a coboundary-membership tester
-    for 2-cochains given on all pairs of group elements (the bar complex)."""
+    """H^2 from the generator complex, and the coboundary test for
+    2-cochains given on pairs of group elements, such as the obstruction
+    tables, decided through the same complex."""
 
     def __init__(self, ch):
         if ch.order() > 27:
             raise TooLarge("2-cochain space too large (p^s > 27)")
         self.ch = ch
-        field = ch.field
-        n = ch.m + 1
-        elems = ch.group()
-        self.elems = elems
-        self.index = {g.exps: k for k, g in enumerate(elems)}
-        self.n = n
-        self.nvars2 = len(elems) ** 2 * n
-        mats = {g.exps: action_matrix(ch, g) for g in elems}
+        self._mats = {g.exps: action_matrix(ch, g) for g in ch.group()}
+        self._gens = [self._mats[ch.generator(i).exps] for i in range(1, ch.s + 1)]
 
-        # bar differential C^1 -> C^2: (d b)(s,t) = s.b(t) - b(st) + b(s)
-        nv1 = len(elems) * n
-        d_rows = []
-        for s_ in elems:
-            A = mats[s_.exps]
-            for t_ in elems:
-                st = group_mul(ch, s_, t_)
-                for r in range(n):
-                    row = [0] * nv1
-                    ti = self.index[t_.exps] * n
-                    for ccol in range(n):
-                        row[ti + ccol] = field.raw_add(row[ti + ccol], A[r][ccol])
-                    sti = self.index[st.exps] * n
-                    row[sti + r] = field.raw_sub(row[sti + r], 1)
-                    si = self.index[s_.exps] * n
-                    row[si + r] = field.raw_add(row[si + r], 1)
-                    d_rows.append(row)
-        self._d1_rows = d_rows
-        self._gens = [mats[ch.generator(i).exps] for i in range(1, ch.s + 1)]
-
-    def cochain_vector(self, table):
-        """Flatten a dict (g.exps, h.exps) -> PolePartClass into coordinates."""
-        v = [0] * self.nvars2
-        for (ge, he), x in table.items():
-            base = (self.index[ge] * len(self.elems) + self.index[he]) * self.n
-            for k, c in enumerate(x.vector()):
-                v[base + k] = c
-        return v
+    def _act(self, exps, x):
+        return PolePartClass.from_vector(
+            self.ch, linalg.mat_vec(self.ch.field, self._mats[exps], x.vector()))
 
     def is_coboundary(self, table):
-        """Solve d(beta) = alpha for a 1-cochain beta."""
-        field = self.ch.field
-        target = self.cochain_vector(table)
-        sol = linalg.solve(field, [list(r) for r in self._d1_rows], target)
-        return sol is not None
+        """Whether the table f: (g.exps, h.exps) -> PolePartClass, missing
+        pairs read as zero, is d beta for a bar 1-cochain beta; exact
+        whether or not f is a cocycle.
+
+        The chain map from the periodic resolutions to the bar resolution
+        pulls f back to C^2: sum_i f(sigma_j^i, sigma_j) on block 2e_j and
+        f(sigma_j, sigma_k) - f(sigma_k, sigma_j) on e_j + e_k, j < k.  If
+        f = d beta', a solution gamma of d^1 gamma = pullback differs from
+        beta' on the generators by a 1-cocycle, which extends over V; so
+        some beta with d beta = f has beta(sigma_i) = gamma_i, and it is
+        forced: beta(1) = f(1, 1) and, along the peel g = sigma_i rest,
+        beta(g) = sigma_i beta(rest) + gamma_i - f(sigma_i, rest)."""
+        ch = self.ch
+        zero = PolePartClass.zero(ch)
+
+        def f(g, h):
+            return table.get((g, h), zero)
+
+        gens = [ch.generator(i).exps for i in range(1, ch.s + 1)]
+        target = []
+        for a in _multi_indices(ch.s, 2):
+            j, *k = [i for i, x in enumerate(a) if x]
+            if k:
+                val = f(gens[j], gens[k[0]]) - f(gens[k[0]], gens[j])
+            else:
+                val = zero
+                for i in range(ch.p):
+                    val = val + f(group_pow(ch, ch.generator(j + 1), i).exps, gens[j])
+            target.extend(val.vector())
+        d1 = _complex(ch.field, self._gens, ch.p, 1)[1]
+        gamma = linalg.solve(ch.field, d1, target)
+        if gamma is None:
+            return False
+        gamma = OneCochain.from_vector(ch, gamma).vals
+        one = ch.identity().exps
+        beta = {one: f(one, one)}
+        for g, i, rest in peeled(ch):
+            beta[g.exps] = gamma[i] if rest.is_identity() else (
+                self._act(gens[i], beta[rest.exps]) + gamma[i]
+                - f(gens[i], rest.exps))
+        return all(v.vector() == f(*gh).vector()
+                   for gh, v in self.d1_of(beta).items())
 
     def z2_dimension(self):
         """dim Z^2 = dim C^2 - rank d^2 in the generator complex."""
@@ -500,12 +497,12 @@ class H2Engine:
         """The 2-coboundary of a 1-cochain given as dict g.exps -> PolePartClass."""
         ch = self.ch
         out = {}
-        for s_ in self.elems:
-            for t_ in self.elems:
+        for s_ in ch.group():
+            for t_ in ch.group():
                 st = group_mul(ch, s_, t_)
-                val = (module_action(ch, s_, beta_table[t_.exps])
-                       - beta_table[st.exps] + beta_table[s_.exps])
-                out[(s_.exps, t_.exps)] = val
+                out[(s_.exps, t_.exps)] = (self._act(s_.exps, beta_table[t_.exps])
+                                           - beta_table[st.exps]
+                                           + beta_table[s_.exps])
         return out
 
 

@@ -19,6 +19,7 @@ from .autoreps import (
     default_precision,
     group_mul,
     group_pow,
+    peeled,
 )
 from .coeffring import FieldElem, make_artin_algebra
 from .cohomology import H2Engine, OneCochain, PolePartClass, is_cocycle
@@ -27,7 +28,6 @@ from .series import (
     LaurentSeries,
     compose,
     invert_unit_series,
-    revert,
 )
 from .ascover import ReductionMismatch
 
@@ -49,24 +49,12 @@ class MatrixRep:
 def make_matrix_rep(A, ch, Cgens, lamgens):
     """Extend generator values to all of V through C(gh) = C(g) + lam(g)C(h)
     and lam(gh) = lam(g)lam(h), peeling generators in index order."""
-    Cs = {}
-    lams = {}
-
-    def fill(exps):
-        if exps in Cs:
-            return
-        i = next((j for j, e in enumerate(exps) if e), None)
-        if i is None:
-            Cs[exps] = A.zero()
-            lams[exps] = A.one()
-            return
-        rest = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-        fill(rest)
-        Cs[exps] = Cgens[i] + lamgens[i] * Cs[rest]
-        lams[exps] = lamgens[i] * lams[rest]
-
-    for g in ch.group():
-        fill(g.exps)
+    one = ch.identity().exps
+    Cs = {one: A.zero()}
+    lams = {one: A.one()}
+    for g, i, rest in peeled(ch):
+        Cs[g.exps] = Cgens[i] + lamgens[i] * Cs[rest.exps]
+        lams[g.exps] = lamgens[i] * lams[rest.exps]
     return MatrixRep(A, ch, Cs, lams)
 
 
@@ -176,6 +164,13 @@ def deformed_rho(rep, ftilde, g, prec=None):
     """The unique T in A[[t]] with T = rho_g mod m_A and
     ftilde(T) = lam(g) ftilde + C(g), by Newton iteration along the
     nilpotent filtration from T = rho_g.
+
+    Scope.  Over the dual numbers (n = 2) this covers any datum.  Over
+    eps^n with n >= 3 it covers the trivial datum, lam = 1, C = c and
+    ftilde = t^-m, as the deform task lifts it: for non-trivial data the
+    second-order correction has t-order 1 - m, so no solution lies in
+    A[[t]], and the solve raises NoSolution, NotConverged or
+    CompositionDiverges.
 
     Certificate.  The iteration stops once err = ftilde(T) - rhs vanishes
     below t^(prec - m - 1): the eps-linear part of err is -m rho_g^(-m-1)
@@ -306,49 +301,33 @@ def obstruction_two_cocycle(repA2, ftilde2, lifts, prec=None):
     lifts maps generator index (1-based) to a series over A' reducing to the
     deformed automorphism over A; entries keyed by an exps tuple override
     the lift of that single group element.  Remaining elements are filled
-    by peeling generators, and rho~_s rho~_t rho~_{st}^{-1}(t) =
-    t + eps^{n-1} h gives the cochain of pole parts h / t^{m+1}."""
+    by peeling generators.  With rho~_g rho~_h = (t + eps^{n-1} h) o rho~_gh,
+    the pole parts h / t^{m+1} form the cochain.  They read h mod t^{m+1}
+    only, and rho~_g rho~_h - rho~_gh = eps^{n-1} h(rho_gh), where
+    h(rho_gh) = h mod t^{m+1} for h in k[[t]] since rho_gh = t mod t^{m+1}:
+    so the eps^{n-1} part of the difference gives the cochain, with no
+    reversion and no composition by rho_gh^{-1}."""
     A, ch = repA2.A, repA2.ch
     if prec is None:
         prec = 3 * (ch.m + 2)
     kernel_idx = A.n - 1
-    table_T = {e: T for e, T in lifts.items() if isinstance(e, tuple)}
-    table_inv = {}
-
-    def lift_of(exps):
-        if exps in table_T:
-            return table_T[exps]
-        i = next((j for j, e in enumerate(exps) if e), None)
-        if i is None:
-            T = LaurentSeries.t_power(A, 1, INF)
-        else:
-            rest = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            T = compose(lifts[i + 1], lift_of(rest))
-        table_T[exps] = T
-        return T
-
     for i in range(1, ch.s + 1):
-        g = ch.generator(i)
         res = lifts[i].residue()
-        if not res.eq_to_prec(build_rho(ch, g, res.prec)):
+        if not res.eq_to_prec(build_rho(ch, ch.generator(i), res.prec)):
             raise ReductionMismatch("lift %d does not reduce to rho" % i)
-        lift_of(g.exps)
+    one = ch.identity().exps
+    lift = {one: lifts.get(one, LaurentSeries.t_power(A, 1, INF))}
+    for g, i, rest in peeled(ch):
+        lift[g.exps] = (lifts[g.exps] if g.exps in lifts
+                        else compose(lifts[i + 1], lift[rest.exps]))
+    lift = {e: T.truncate(prec) for e, T in lift.items()}
 
-    def inv_of(exps):
-        if exps not in table_inv:
-            table_inv[exps] = revert(lift_of(exps).truncate(prec))
-        return table_inv[exps]
-
-    t_A = LaurentSeries.t_power(A, 1, INF)
     table = {}
     zero = True
     for g in ch.group():
         for h in ch.group():
             gh = group_mul(ch, g, h)
-            word = compose(compose(lift_of(g.exps).truncate(prec),
-                                   lift_of(h.exps).truncate(prec)),
-                           inv_of(gh.exps))
-            diff = word - t_A
+            diff = compose(lift[g.exps], lift[h.exps]) - lift[gh.exps]
             if diff.prec < ch.m + 2:
                 raise ReductionMismatch("insufficient precision in the lifts")
             for j in range(kernel_idx):

@@ -207,7 +207,10 @@ class LaurentSeries:
         self._check(other)
         r = self.ring
         a_lo, b_lo = self.lead, other.lead
-        prec = min(self.prec + b_lo, other.prec + a_lo)
+        if self.prec >= INF and other.prec >= INF:
+            prec = INF
+        else:
+            prec = min(self.prec + b_lo, other.prec + a_lo)
         if not self.coeffs or not other.coeffs:
             return LaurentSeries._clean(r, {}, prec)
         field = ring_is_field(r)
@@ -468,6 +471,8 @@ def _horner(terms, base, acc):
     def step(acc, gap):
         if gap not in powers:
             powers[gap] = base.pow(gap)
+        if acc.prec >= INF and prec >= INF:
+            return acc * powers[gap]
         target = min(acc.prec + gap * lead, prec + acc.lead + (gap - 1) * lead)
         return (acc * powers[gap]).with_prec(target)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wildram import autoreps
 from wildram.autoreps import (
     InvalidCharacter,
     binom_mod_p,
@@ -13,6 +14,7 @@ from wildram.autoreps import (
     group_mul,
     group_pow,
     make_character,
+    peeled,
     ramification_data,
     verify_group_law,
 )
@@ -180,6 +182,30 @@ def test_character_must_be_injective():
         make_character(field, [[1, 0], [1, 0]], 3)  # dependent values
     with pytest.raises(InvalidCharacter):
         make_character(field, [[1, 0]], 2)  # m divisible by p
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 3), (3, 2, 2), (2, 3, 3)])
+def test_peeled_visits_each_element_after_its_rest(p, s, m):
+    ch = character_for(p, s, m)
+    seen = [ch.identity()]
+    for g, i, rest in peeled(ch):
+        assert rest in seen
+        assert group_mul(ch, ch.generator(i + 1), rest) == g
+        assert g.exps[:i] == (0,) * i and g.exps[i]
+        seen.append(g)
+    assert seen == ch.group()
+
+
+def test_rank_above_the_degree_is_rejected_before_the_moore_determinant(monkeypatch):
+    """s values in GF(p^d) with s > d are F_p-dependent; the rejection does
+    not wait for a Moore determinant, whose expansion is factorial in s."""
+    def boom(xs):
+        pytest.fail("moore_det called")
+
+    monkeypatch.setattr(autoreps, "moore_det", boom)
+    field = make_field(2, 2)
+    with pytest.raises(InvalidCharacter):
+        make_character(field, [[1, 0], [0, 1], [1, 1]], 3)
 
 
 def test_group_algebra_structure():

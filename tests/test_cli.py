@@ -5,9 +5,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wildram
-from wildram import coeffring
+from wildram import autoreps, coeffring
 from wildram.cli import (
     MAX_ARTIN_ORDER,
     MAX_PRECISION,
@@ -158,6 +159,82 @@ def test_oversized_jobs_exit_2_before_building_fields(tmp_path, monkeypatch, cap
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.strip() != "config error at %s:" % pointer
     assert not oversized
+
+
+def test_rank_above_the_field_degree_exits_2_without_a_moore_determinant(
+        tmp_path, monkeypatch, capsys):
+    """Twelve values in GF(2) are F_2-dependent; the job exits 2 at once
+    instead of expanding a 12 x 12 Moore determinant."""
+    def boom(xs):
+        pytest.fail("moore_det called")
+
+    monkeypatch.setattr(autoreps, "moore_det", boom)
+    cfg = {"field": {"p": 2, "d": 1},
+           "character": {"s": 12, "m": 3, "vals": [[1]] * 12}}
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "/character/vals" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8)
+small_ints = st.integers(-2, 8)
+coeff_lists = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+# Plausible values are mostly valid, so that draws reach the later checks;
+# json_values supplies the invalid ones.
+PLAUSIBLE = {
+    ("field", "p"): st.sampled_from([2, 3, 5]),
+    ("field", "d"): st.sampled_from([1, 2, 3]),
+    ("field", "modulus"): st.lists(small_ints, max_size=4),
+    ("character", "s"): st.sampled_from([1, 2, 3]),
+    ("character", "m"): st.sampled_from([1, 2, 4, 5, 7, 3]),
+    ("character", "vals"): st.lists(coeff_lists, max_size=3),
+    ("artin_order",): st.sampled_from([2, 3, MAX_ARTIN_ORDER + 1]),
+    ("precision",): st.integers(0, 40),
+    ("seed",): small_ints,
+    ("tasks",): st.lists(st.sampled_from(["rho", "deform", "frob", {}, {"name": 1}]),
+                         max_size=3),
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A job whose every key is plausible, absent or any JSON value; rarely
+    a section, or the whole job, is any JSON value."""
+    rarely = st.sampled_from([False] * 9 + [True])
+    cfg = {"field": {}, "character": {}}
+    for path, plausible in PLAUSIBLE.items():
+        # a drawn modulus is rarely irreducible, so it is rarely given
+        common = "absent" if path[-1] == "modulus" else "plausible"
+        choice = draw(st.sampled_from([common] * 8 + ["plausible", "absent", "json"]))
+        if choice == "absent":
+            continue
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(plausible if choice == "plausible" else json_values)
+    chd = cfg["character"]
+    s = chd.get("s")
+    if "vals" in chd and type(s) is int and 1 <= s <= 3 and not draw(rarely):
+        chd["vals"] = draw(st.lists(coeff_lists, min_size=s, max_size=s))
+    for key in ("field", "character"):
+        if draw(rarely):
+            cfg[key] = draw(json_values)
+    return draw(json_values) if draw(rarely) else cfg
+
+
+@given(cfg=fuzzed_configs())
+@settings(max_examples=300, deadline=None)
+def test_parse_config_raises_only_config_invalid(cfg):
+    try:
+        parse_config(cfg)
+    except ConfigInvalid:
+        pass
 
 
 def test_version_matches_pyproject():

@@ -179,11 +179,36 @@ def test_action_matrix_is_the_pole_block(p, s, m):
                        for i in range(m + 1)]
 
 
+def bar_d1(ch):
+    """Reference bar differential on all of V: the rows of
+    (d b)(s, t) = s.b(t) - b(st) + b(s) on 1-cochains stored value by value
+    in ch.group() order."""
+    field = ch.field
+    n = ch.m + 1
+    elems = ch.group()
+    index = {g.exps: k for k, g in enumerate(elems)}
+    rows = []
+    for s_ in elems:
+        A = action_matrix(ch, s_)
+        for t_ in elems:
+            st = group_mul(ch, s_, t_)
+            for r in range(n):
+                row = [0] * (len(elems) * n)
+                for c in range(n):
+                    k = index[t_.exps] * n + c
+                    row[k] = field.raw_add(row[k], A[r][c])
+                k = index[st.exps] * n + r
+                row[k] = field.raw_sub(row[k], 1)
+                k = index[s_.exps] * n + r
+                row[k] = field.raw_add(row[k], 1)
+                rows.append(row)
+    return rows
+
+
 def bar_differentials(ch):
-    """Reference bar complex on all of V: the rows of
-    (d b)(s, t) = s.b(t) - b(st) + b(s) on 1-cochains and of
+    """Reference bar complex on all of V: bar_d1 and the rows of
     (d a)(s, t, u) = s.a(t, u) - a(st, u) + a(s, tu) - a(s, t) on
-    2-cochains, with cochains stored value by value in ch.group() order."""
+    2-cochains, stored value by value in ch.group() order."""
     field = ch.field
     n = ch.m + 1
     elems = ch.group()
@@ -194,21 +219,6 @@ def bar_differentials(ch):
     def pair(g, h):
         return (index[g.exps] * N + index[h.exps]) * n
 
-    d1 = []
-    for s_ in elems:
-        A = mats[s_.exps]
-        for t_ in elems:
-            st = group_mul(ch, s_, t_)
-            for r in range(n):
-                row = [0] * (N * n)
-                for c in range(n):
-                    k = index[t_.exps] * n + c
-                    row[k] = field.raw_add(row[k], A[r][c])
-                k = index[st.exps] * n + r
-                row[k] = field.raw_sub(row[k], 1)
-                k = index[s_.exps] * n + r
-                row[k] = field.raw_add(row[k], 1)
-                d1.append(row)
     d2 = []
     for s_ in elems:
         A = mats[s_.exps]
@@ -228,7 +238,7 @@ def bar_differentials(ch):
                     k = pair(s_, t_) + r
                     row[k] = field.raw_sub(row[k], 1)
                     d2.append(row)
-    return d1, d2
+    return bar_d1(ch), d2
 
 
 def bar_h2_dimension(ch):
@@ -278,3 +288,86 @@ def test_h2_engine_coboundaries(p, s, m):
                                for k, gh in enumerate(pairs)})
         for v in z2)
     assert rejected == (eng.h2_dimension() > 0)
+
+
+def bar_is_coboundary(ch, d1, table):
+    """Reference coboundary test: solve d beta = table in the bar complex,
+    missing pairs read as zero."""
+    zero = PolePartClass.zero(ch)
+    target = []
+    for g in ch.group():
+        for h in ch.group():
+            target.extend(table.get((g.exps, h.exps), zero).vector())
+    return linalg.solve(ch.field, d1, target) is not None
+
+
+def oracle_tables(ch, eng, rng):
+    """The zero table, coboundaries, coboundaries with one entry moved,
+    partial coboundaries and random tables (fewer where the bar solve is
+    slow), and, where the bar d^2 is small, a bar Z^2 basis with random
+    combinations of it and a coboundary."""
+    n = ch.m + 1
+    pairs = [(g.exps, h.exps) for g in ch.group() for h in ch.group()]
+    tables = [{}]
+    for _ in range(3 if ch.order() <= 9 else 1):
+        beta = {g.exps: random_pole_class(ch, rng) for g in ch.group()}
+        cob = eng.d1_of(beta)
+        tables.append(cob)
+        bumped = dict(cob)
+        gh = rng.choice(pairs)
+        bumped[gh] = bumped[gh] + PolePartClass.from_vector(
+            ch, [rng.randrange(1, ch.field.q)] + [0] * ch.m)
+        tables.append(bumped)
+        tables.append({gh: cob[gh] for gh in rng.sample(pairs, len(pairs) // 2)})
+        tables.append({gh: random_pole_class(ch, rng) for gh in pairs})
+    if ch.order() <= 5:
+        z2 = [{gh: PolePartClass.from_vector(ch, v[k * n:(k + 1) * n])
+               for k, gh in enumerate(pairs)}
+              for v in linalg.nullspace(ch.field, bar_differentials(ch)[1],
+                                        len(pairs) * n)]
+        tables.extend(z2)
+        for _ in range(6):
+            comb = tables[1]
+            for z in rng.sample(z2, min(3, len(z2))):
+                comb = {gh: comb[gh] + z[gh] for gh in pairs}
+            tables.append(comb)
+    return tables
+
+
+@pytest.mark.parametrize("p,s,m", H2_POINTS + [(3, 3, 2), (5, 2, 2), (5, 2, 3)])
+def test_is_coboundary_matches_bar_solve(p, s, m):
+    """The generator-complex test gives the bar solve's answer on every
+    kind of table, cocycle or not."""
+    ch = character_for(p, s, m)
+    eng = H2Engine(ch)
+    d1 = bar_d1(ch)
+    rng = random.Random(1000 * p + 100 * s + m)
+    answers = []
+    for table in oracle_tables(ch, eng, rng):
+        answer = eng.is_coboundary(table)
+        assert answer == bar_is_coboundary(ch, d1, table)
+        answers.append(answer)
+    assert True in answers and False in answers
+
+
+def test_is_coboundary_solves_in_the_generator_complex(monkeypatch):
+    """Timer-free cost guard: at (5,2,3) the only row reduction is d^1 of
+    the generator complex, 3 blocks of m+1 = 4 rows.  The bar solve
+    reduced 625 blocks of 4 rows."""
+    ch = character_for(5, 2, 3)
+    eng = H2Engine(ch)
+    rng = random.Random(523)
+    beta = {g.exps: random_pole_class(ch, rng) for g in ch.group()}
+    tables = [eng.d1_of(beta),
+              {(g.exps, h.exps): random_pole_class(ch, rng)
+               for g in ch.group() for h in ch.group()}]
+    rows = []
+    rref = linalg.rref
+
+    def counting_rref(field, mat):
+        rows.append(len(mat))
+        return rref(field, mat)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    assert [eng.is_coboundary(t) for t in tables] == [True, False]
+    assert rows and max(rows) <= 12

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from wildram.ascover import ReductionMismatch
-from wildram.autoreps import build_rho
-from wildram.cohomology import classes_equal
+from wildram.autoreps import build_rho, group_mul
+from wildram.cohomology import PolePartClass, classes_equal
 from wildram.coeffring import make_artin_algebra
 from wildram.deform import (
     DeformationDatum,
@@ -23,7 +23,7 @@ from wildram.deform import (
     tangent_cocycle_extract,
     trivial_rep,
 )
-from wildram.series import INF, LaurentSeries, compose, invert_unit_series
+from wildram.series import INF, LaurentSeries, compose, invert_unit_series, revert
 
 from conftest import character_for, small_grid
 
@@ -263,6 +263,86 @@ def test_perturbed_lift_gives_nonzero_coboundary():
     obs = obstruction_two_cocycle(rep, ft, lifts)
     assert not obs["identically_zero"]
     assert obs["vanishes_in_H2"]
+
+
+def peeled_lift(lifts, exps):
+    """The lift of a group element, recursively: an override keyed by exps,
+    else lifts[i + 1] composed with the lift of exps less one sigma_{i+1},
+    i the first nonzero exponent."""
+    if exps in lifts:
+        return lifts[exps]
+    i = next((j for j, e in enumerate(exps) if e), None)
+    if i is None:
+        return LaurentSeries.t_power(lifts[1].ring, 1, INF)
+    rest = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+    return compose(lifts[i + 1], peeled_lift(lifts, rest))
+
+
+def reverted_obstruction_table(rep, lifts, prec):
+    """The obstruction table through reversion: h read off
+    rho~_g o rho~_h o revert(rho~_gh) = t + eps^{n-1} h."""
+    A, ch = rep.A, rep.ch
+    t_A = LaurentSeries.t_power(A, 1, INF)
+    table = {}
+    for g in ch.group():
+        for h in ch.group():
+            gh = group_mul(ch, g, h)
+            word = compose(compose(peeled_lift(lifts, g.exps).truncate(prec),
+                                   peeled_lift(lifts, h.exps).truncate(prec)),
+                           revert(peeled_lift(lifts, gh.exps).truncate(prec)))
+            diff = word - t_A
+            assert diff.prec >= ch.m + 2
+            assert all(diff.eps_component(j).is_zero() for j in range(A.n - 1))
+            hh = diff.eps_component(A.n - 1)
+            table[(g.exps, h.exps)] = PolePartClass.from_series(
+                ch, hh.shift(-(ch.m + 1)))
+    return table
+
+
+def straight_lifts(ch, order):
+    A = make_artin_algebra(ch.field, order)
+    rep = trivial_rep(A, ch)
+    window = 3 * (ch.m + 2)
+    ft = LaurentSeries.t_power(A, -ch.m, 8 * window)
+    lifts = {i: deformed_rho(rep, ft, ch.generator(i), window)
+             for i in range(1, ch.s + 1)}
+    return rep, ft, lifts
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 3), (3, 1, 2), (5, 1, 2),
+                                   (2, 2, 3), (3, 2, 2)])
+def test_obstruction_table_matches_reversion(p, s, m):
+    """The revert-free table equals the table read through reversion, for
+    straight lifts over eps^2 and eps^3 and for lifts whose override at the
+    identity or at a non-generator element is bumped by eps^{n-1} c t^k,
+    1 <= k <= m."""
+    ch = character_for(p, s, m)
+    rng = random.Random(10 * p + s + m)
+    others = [g.exps for g in ch.group() if sum(g.exps) != 1][:3]
+    for order in (2, 3):
+        rep, ft, lifts = straight_lifts(ch, order)
+        A = rep.A
+        cases = [(lifts, False)]
+        for exps in others:
+            top = (0,) * (order - 1) + (rng.randrange(1, ch.field.q),)
+            bump = LaurentSeries.make(A, {rng.randrange(1, m + 1): A.from_raw(top)}, INF)
+            cases.append(({**lifts, exps: peeled_lift(lifts, exps) + bump}, True))
+        for case, bumped in cases:
+            got = obstruction_two_cocycle(rep, ft, case)["cochain"]
+            assert got == reverted_obstruction_table(rep, case, 3 * (m + 2))
+            assert any(not v.is_zero() for v in got.values()) == bumped
+
+
+def test_obstruction_rejects_disagreement_below_the_kernel():
+    """Over eps^3 a bump by eps t at a non-generator element makes the lifts
+    disagree modulo eps^2; the table refuses it."""
+    ch = character_for(3, 1, 2)
+    rep, ft, lifts = straight_lifts(ch, 3)
+    A = rep.A
+    bump = LaurentSeries.make(A, {1: A.eps()}, INF)
+    lifts[(2,)] = peeled_lift(lifts, (2,)) + bump
+    with pytest.raises(ReductionMismatch):
+        obstruction_two_cocycle(rep, ft, lifts)
 
 
 def test_obstruction_rejects_bad_reduction():

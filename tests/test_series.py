@@ -70,9 +70,13 @@ def ring_series(draw, ring, lo=-3, hi=8):
 
 def schoolbook_mul(a, b):
     """Reference product, one raw_mul/raw_add per pair of terms: the nonzero
-    coefficients and the precision min(a.prec + b.lead, b.prec + a.lead)."""
+    coefficients and the precision min(a.prec + b.lead, b.prec + a.lead),
+    or INF when both factors are exact."""
     r = a.ring
-    prec = min(a.prec + b.lead, b.prec + a.lead)
+    if a.prec >= INF and b.prec >= INF:
+        prec = INF
+    else:
+        prec = min(a.prec + b.lead, b.prec + a.lead)
     out = {}
     for e1, c1 in a.coeffs.items():
         for e2, c2 in b.coeffs.items():
@@ -172,6 +176,16 @@ def test_invert_exact_series_with_finite_inverse():
     inv = invert_unit_series(b)
     assert inv.prec == INF
     assert (b * inv).coeffs == LaurentSeries.one(F9_EPS3).coeffs
+
+
+def test_exact_times_exact_is_exact():
+    """A product of two exact series is exact: (1 + eps t^-2) times its
+    exact inverse over F_9[eps]/eps^3 is the exact one, not a series known
+    to INF + lead."""
+    b = LaurentSeries.make(F9_EPS3, {-2: (0, 1, 0), 0: (1, 0, 0)}, INF)
+    prod = b * invert_unit_series(b)
+    assert prod.prec == INF
+    assert prod == LaurentSeries.one(F9_EPS3)
 
 
 def test_invert_with_nilpotent_terms_below_lead():
