@@ -32,7 +32,7 @@ for p, s, m in [(2, 1, 3), (2, 1, 7), (3, 1, 4), (5, 1, 2),
 print("\ncyclic basis for p = 3, m = 4")
 field = make_field(3)
 ch = make_character(field, [[1]], 4)
-basis = h1_basis_cyclic(3, 4, field, ch)
+basis = h1_basis_cyclic(ch)
 vecs = [cocycle_class_vector(ch, c) for _, c in basis]
 print("  exponents:", [i for i, _ in basis])
 print("  rank of classes:", linalg.rank(field, vecs),

@@ -49,6 +49,6 @@ rep0 = trivial_rep(A, ch)
 window = 3 * (m + 2)
 ft0 = LaurentSeries.t_power(A, -m, 8 * window)
 lifts = {1: deformed_rho(rep0, ft0, ch.generator(1), window)}
-obs = obstruction_two_cocycle(rep0, ft0, lifts)
+obs = obstruction_two_cocycle(rep0, lifts)
 print("\nobstruction 2-cocycle identically zero:", obs["identically_zero"])
 print("vanishes in H^2:", obs["vanishes_in_H2"])

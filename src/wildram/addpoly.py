@@ -189,14 +189,13 @@ def _bordered_additive_poly(ring, column_raws):
     return cofs
 
 
-def additive_poly_from_character(ch, omit=None):
+def additive_poly_from_character(ch, omit):
     """The monic additive polynomial whose roots are the F_p-span of the
-    character values (with one value omitted when ``omit`` is given, 1-based)."""
+    character values with value ``omit`` (1-based) left out."""
     vals = list(ch.vals)
-    if omit is not None:
-        if not 1 <= omit <= len(vals):
-            raise ValueError("omit index out of range")
-        del vals[omit - 1]
+    if not 1 <= omit <= len(vals):
+        raise ValueError("omit index out of range")
+    del vals[omit - 1]
     ring = ch.field
     raws = [v.idx for v in vals]
     delta = _det_raw(ring, _moore_matrix_raw(ring, raws))

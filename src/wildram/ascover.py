@@ -168,10 +168,10 @@ def normalized_generators(ch):
     return out
 
 
-def germ_model(ch, mu=None):
+def germ_model(ch):
     """Substitute f = t^{-m} into u: the exact Laurent polynomial
     sum_nu a_nu t^{-m p^nu}."""
-    data = build_u(ch, mu)
+    data = build_u(ch)
     rhs = ppoly_apply(data["u"], LaurentSeries.t_power(ch.field, -ch.m, INF))
     return ASCover(ch.s, ch.field, rhs)
 
@@ -287,14 +287,14 @@ def expand_downstairs(x, g, s):
     return out
 
 
-def downstairs_model(ch, mu=None):
+def downstairs_model(ch):
     """The cover with its right-hand side pushed down to the quotient
     coordinate x: u = sum_i mu_i sum_{j<s} (y_i(f)^p - y_i(f))^{p^j}, each
     inner factor a downstairs function of pole order m."""
     field = ch.field
     p, s, m = ch.p, ch.s, ch.m
     q = p ** s
-    data = build_u(ch, mu)
+    data = build_u(ch)
     prec = (m + 4) * q
     x = downstairs_coordinate(ch, prec)
     f_germ = LaurentSeries.t_power(field, -m, prec)

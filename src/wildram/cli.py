@@ -33,6 +33,8 @@ KNOWN_TASKS = ("rho", "cohomology", "ascover", "deform", "predicates")
 # deformation task works over F_q[eps]/eps^artin_order.
 MAX_PRECISION = 1024
 MAX_ARTIN_ORDER = 16
+# Seeded first-order data the deform task extracts and checks per job.
+DEFORM_SAMPLES = 5
 
 
 class ConfigInvalid(ValueError):
@@ -143,7 +145,7 @@ def task_cohomology(job):
         "ok": bf["dim"] == formula,
     }
     if s == 1:
-        basis = cohomology.h1_basis_cyclic(p, m, ch.field, ch)
+        basis = cohomology.h1_basis_cyclic(ch)
         vecs = [cohomology.cocycle_class_vector(ch, c) for _, c in basis]
         from . import linalg
         out["basis_rank"] = linalg.rank(ch.field, vecs) if vecs else 0
@@ -186,12 +188,12 @@ def _random_datum(ch, rng):
     return deform.DeformationDatum(ch, tuple(lam1), tuple(delta), tuple(a1))
 
 
-def task_deform(job, samples=5):
+def task_deform(job):
     ch = job["ch"]
     rng = random.Random(job["seed"])
     matches = 0
     valid = 0
-    for _ in range(samples):
+    for _ in range(DEFORM_SAMPLES):
         datum = _random_datum(ch, rng)
         rep = datum.matrix_rep()
         if deform.rep_validate(rep)["valid"]:
@@ -206,14 +208,14 @@ def task_deform(job, samples=5):
     ft0 = LaurentSeries.t_power(A, -ch.m, 8 * window)
     lifts = {i: deform.deformed_rho(rep0, ft0, ch.generator(i), window)
              for i in range(1, ch.s + 1)}
-    obs = deform.obstruction_two_cocycle(rep0, ft0, lifts)
+    obs = deform.obstruction_two_cocycle(rep0, lifts)
     return {
-        "samples": samples,
+        "samples": DEFORM_SAMPLES,
         "formula_matches": matches,
         "valid_reps": valid,
         "obstruction_zero": obs["identically_zero"],
         "obstruction_coboundary": obs["vanishes_in_H2"],
-        "ok": matches == samples and obs["identically_zero"],
+        "ok": matches == DEFORM_SAMPLES and obs["identically_zero"],
     }
 
 

@@ -365,14 +365,10 @@ def admissible_exponents(p, m, lo, hi):
     return [i for i in range(lo, hi + 1) if binom_mod_p(i, m, p - 1, p) == 0]
 
 
-def h1_basis_cyclic(p, m, fielddesc, ch=None):
+def h1_basis_cyclic(ch):
     """The cyclic-case basis: exponents i in [b, m+1] with binom(i/m, p-1) = 0,
     each carrying the cochain sigma -> c(sigma) t^{-i}."""
-    if m % p == 0:
-        raise ValueError("gcd(m, p) must be 1")
-    if ch is None:
-        from .autoreps import make_character
-        ch = make_character(fielddesc, [fielddesc.one()], m)
+    p, m = ch.p, ch.m
     if ch.s != 1:
         raise ValueError("the cyclic basis requires s = 1")
     b = 1 if (m + 1) % p == 0 else 2

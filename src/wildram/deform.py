@@ -16,9 +16,7 @@ from math import gcd
 from .autoreps import (
     build_rho,
     character_value,
-    default_precision,
     group_mul,
-    group_pow,
     peeled,
 )
 from .coeffring import FieldElem, make_artin_algebra
@@ -160,69 +158,64 @@ def make_datum(ch, lambda1, delta, a1):
                             tuple(fe(x) for x in a1))
 
 
-def deformed_rho(rep, ftilde, g, prec=None):
+def deformed_rho(rep, ftilde, g, prec):
     """The unique T in A[[t]] with T = rho_g mod m_A and
-    ftilde(T) = lam(g) ftilde + C(g), by Newton iteration along the
-    nilpotent filtration from T = rho_g.
+    ftilde(T) = lam(g) ftilde + C(g), by the chord iteration along the
+    nilpotent filtration from T = rho_g.  ftilde must reduce to t^-m.
+
+    Chord step.  Modulo m_A the Jacobian ftilde'(T) is -m rho_g^(-m-1), so
+    each step adds err rho_g^(m+1) / m to T, err = ftilde(T) - rhs.  The
+    Jacobian is off by m_A only, so if err lies in eps^j the next error lies
+    in eps^(j+1): over eps^n there are at most n evaluations of ftilde(T),
+    n - 1 corrections and a final check.
 
     Scope.  Over the dual numbers (n = 2) this covers any datum.  Over
     eps^n with n >= 3 it covers the trivial datum, lam = 1, C = c and
     ftilde = t^-m, as the deform task lifts it: for non-trivial data the
-    second-order correction has t-order 1 - m, so no solution lies in
-    A[[t]], and the solve raises NoSolution, NotConverged or
+    second-order correction can reach t-order 1 - m, so no solution need
+    lie in A[[t]], and the solve raises NoSolution, NotConverged or
     CompositionDiverges.
 
-    Certificate.  The iteration stops once err = ftilde(T) - rhs vanishes
-    below t^(prec - m - 1): the eps-linear part of err is -m rho_g^(-m-1)
-    times the error of T, so this fixes T mod t^prec.  T is returned only
-    if the series operations track err as known to t^(prec - m - 1) and T
-    as known to t^prec.
+    Certificate.  The iteration stops once err vanishes below
+    t^(prec - m - 1): the eps-linear part of err is -m rho_g^(-m-1) times
+    the error of T, so this fixes T mod t^prec.  T is returned only if the
+    series operations track err as known to t^(prec - m - 1) and T as known
+    to t^prec, and only if T has no pole.
 
-    Working precision.  Let n = A.n, a = -ftilde.lead and gap = a - m,
-    how far the nilpotent terms of ftilde reach below its reduced
-    valuation -m.  The solve starts at prec plus the losses that the
-    precision rules of series charge one Newton step:
-    - gap, for the window: compose(ftilde, T), for T = rho_g + O(eps t),
-      is known a + 1 below T.prec (2 for inverting T, 1 per further pole
-      step), so T must be known to prec + gap;
-    - n(a + 2) for compose(ftilde', T): the a + 1 poles of ftilde' go
-      through 1/T, at 2n for inverting T and n per further step, the most
-      a T with nilpotent terms at t^0 costs;
-    - 2(n - 1) gap - 2(m + 1) for invert_unit_series on ftilde'(T), of
-      reduced valuation -(m + 1) with nilpotent terms gap below it;
-    - m for the product with err, whose lead is at least -m.
-    Over the dual numbers T keeps lead 1, so n(a + 2) is generous; the
-    margin absorbs the stopping rule of invert_unit_series, which can
-    certify less than it requests.  A run that falls short is repeated
-    from rho_g with the working precision raised by its whole loss, work
-    minus the precision it certified; the solve fails when a rerun
-    certifies no more.  Raising by the deficit alone can stall, since the
-    precision invert_unit_series certifies is not monotone in the
-    precision of its input.
+    Working precision.  Let a = -ftilde.lead and gap = max(0, a - m), how
+    far the nilpotent terms of ftilde reach below its reduced valuation -m.
+    compose(ftilde, T) is known a + 1 below T.prec, so the window needs T
+    known to prec + gap, and each correction, err times a series of lead
+    m + 1, is known gap below T.prec.  The solve starts at prec + n gap.  A
+    run that falls short is repeated from rho_g with the working precision
+    raised by its whole loss, work minus the precision it certified; the
+    solve fails when a rerun certifies no more.
     """
     A, ch = rep.A, rep.ch
-    if prec is None:
-        prec = default_precision(ch.p, ch.m)
     n, m = A.n, ch.m
-    a = -ftilde.lead
-    gap = max(0, a - m)
+    gap = max(0, -ftilde.lead - m)
     rhs = ftilde.scale(rep.lam[g.exps]) + \
         LaurentSeries.make(A, {0: rep.C[g.exps]}, INF)
-    dft = ftilde.derivative()
-    work = prec + gap + n * (a + 2) + 2 * (n - 1) * gap - (m + 2)
+    field = ch.field
+    minv = field.raw_inv(field.raw_from_int(m))
+    work = prec + n * gap
     before = -INF
     while True:
-        T = build_rho(ch, g, work).lift_ring(A)
-        for _ in range(n + 2):
+        rho = build_rho(ch, g, work)
+        chord = rho.pow(m + 1).scale(minv).lift_ring(A)
+        T = rho.lift_ring(A)
+        for _ in range(n):
             err = compose(ftilde, T) - rhs
             if err.truncate(prec - m - 1).is_zero():
                 break
-            T = T - err * invert_unit_series(compose(dft, T))
+            T = T + err * chord
         else:
-            raise NoSolution("Newton iteration for the deformed automorphism "
+            raise NoSolution("chord iteration for the deformed automorphism "
                              "did not converge")
         reached = min(T.prec, err.prec + m + 1)
         if reached >= prec:
+            if T.lead < 0:
+                raise NoSolution("the solution has a pole: no T in A[[t]]")
             return T.truncate(prec)
         if reached <= before:
             raise NoSolution("insufficient working precision: a rerun at "
@@ -233,29 +226,27 @@ def deformed_rho(rep, ftilde, g, prec=None):
 
 def tangent_cocycle_extract(rep, ftilde, prec=None):
     """The 1-cochain sigma -> pole part of h_sigma / t^{m+1} where
-    rho~_sigma o rho_sigma^{-1}(t) = t + eps h_sigma(t); verified to be a
-    cocycle for the pole-part module action.
+    rho~_sigma = (t + eps h_sigma) o rho_sigma; verified to be a cocycle for
+    the pole-part module action.
 
-    rho~_sigma comes from deformed_rho at its derived working precision.
-    rho_sigma^{-1} needs no reversion: sigma^(p-1) is the inverse of sigma
-    in V, so rho_sigma^{-1} = rho_{sigma^(p-1)}, built in closed form."""
+    rho~_sigma comes from deformed_rho.  It equals rho_sigma +
+    eps h_sigma(rho_sigma), and h(rho_sigma) = h mod t^{m+1} for h in
+    k[[t]] since rho_sigma = t mod t^{m+1}: the pole part reads h mod
+    t^{m+1} only, so it is read off the eps part of rho~_sigma."""
     A, ch = rep.A, rep.ch
     if A.n != 2:
         raise ValueError("tangent extraction needs the dual numbers")
     if prec is None:
         prec = 3 * (ch.m + 2)
-    t_A = LaurentSeries.t_power(A, 1, INF)
+    if prec < ch.m + 2:
+        raise NoSolution("insufficient precision for the pole window")
     vals = []
     for i in range(1, ch.s + 1):
         g = ch.generator(i)
         T = deformed_rho(rep, ftilde, g, prec)
-        rho_inv = build_rho(ch, group_pow(ch, g, ch.p - 1), prec).lift_ring(A)
-        diff = compose(T, rho_inv) - t_A
-        if diff.prec < ch.m + 2:
-            raise NoSolution("insufficient precision for the pole window")
-        if not diff.residue().is_zero():
+        if not T.residue().eq_to_prec(build_rho(ch, g, prec)):
             raise NoSolution("deformed automorphism does not reduce to rho")
-        h1 = diff.eps_component(1)
+        h1 = T.eps_component(1)
         vals.append(PolePartClass.from_series(ch, h1.shift(-(ch.m + 1))))
     cochain = OneCochain(ch, tuple(vals))
     if not is_cocycle(ch, cochain):
@@ -294,7 +285,7 @@ def cocycle_formula_cochain(datum):
                             for i in range(1, datum.ch.s + 1)))
 
 
-def obstruction_two_cocycle(repA2, ftilde2, lifts, prec=None):
+def obstruction_two_cocycle(repA2, lifts):
     """The 2-cocycle measuring failure of per-generator lifts to compose,
     across the small extension A' -> A with kernel eps^{n-1}.
 
@@ -308,8 +299,7 @@ def obstruction_two_cocycle(repA2, ftilde2, lifts, prec=None):
     so the eps^{n-1} part of the difference gives the cochain, with no
     reversion and no composition by rho_gh^{-1}."""
     A, ch = repA2.A, repA2.ch
-    if prec is None:
-        prec = 3 * (ch.m + 2)
+    prec = 3 * (ch.m + 2)
     kernel_idx = A.n - 1
     for i in range(1, ch.s + 1):
         res = lifts[i].residue()

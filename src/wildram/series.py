@@ -81,8 +81,8 @@ def _raw(ring, x):
     return x
 
 
-def _eps_parts(coeffs, n, field, lo):
-    """Split raw coefficients into n field series, one per power of eps,
+def _eps_parts(coeffs, field, lo):
+    """Split raw coefficients into field series, one per power of eps,
     each a sorted list of (exponent - lo, nonzero field index)."""
     keys = [e - lo for e in coeffs]
     if field:
@@ -220,8 +220,8 @@ class LaurentSeries:
         span = min(prec, max(self.coeffs) + max(other.coeffs) + 1) - lo
         if span <= 0:
             return LaurentSeries._clean(r, {}, prec)
-        a_parts = _eps_parts(self.coeffs, n, field, a_lo)
-        b_parts = _eps_parts(other.coeffs, n, field, b_lo)
+        a_parts = _eps_parts(self.coeffs, field, a_lo)
+        b_parts = _eps_parts(other.coeffs, field, b_lo)
         acc = [[0] * span for _ in range(n)]
         for i, a in enumerate(a_parts):
             for j in range(n - i):

@@ -81,7 +81,7 @@ def test_02_cyclic_basis_spans_h1():
         if s != 1:
             continue
         ch = character_for(p, s, m)
-        basis = cohomology.h1_basis_cyclic(p, m, ch.field, ch)
+        basis = cohomology.h1_basis_cyclic(ch)
         vecs = [cohomology.cocycle_class_vector(ch, c) for _, c in basis]
         dim = cohomology.h1_brute_force(ch)["dim"]
         rank = linalg.rank(ch.field, vecs) if vecs else 0
@@ -229,7 +229,7 @@ def test_08_obstruction_vanishes_for_straight_lifts():
             ft = LaurentSeries.t_power(A, -m, 8 * window)
             lifts = {i: deform.deformed_rho(rep, ft, ch.generator(i), window)
                      for i in range(1, s + 1)}
-            obs = deform.obstruction_two_cocycle(rep, ft, lifts)
+            obs = deform.obstruction_two_cocycle(rep, lifts)
             if not (obs["identically_zero"] and obs["vanishes_in_H2"]):
                 ok = False
     # a deliberately perturbed lift: nonzero 2-cocycle, still a coboundary
@@ -245,7 +245,7 @@ def test_08_obstruction_vanishes_for_straight_lifts():
         gg = group_mul(ch, g, g)
         bump = LaurentSeries.make(A, {1: A.eps()}, INF)
         lifts[gg.exps] = compose(lifts[1], lifts[1]) + bump
-        obs = deform.obstruction_two_cocycle(rep, ft, lifts)
+        obs = deform.obstruction_two_cocycle(rep, lifts)
         if obs["identically_zero"] or not obs["vanishes_in_H2"]:
             ok = False
     report(8, "obstruction zero for lifts, coboundary when bumped", ok)

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from wildram import deform
 from wildram.ascover import ReductionMismatch
-from wildram.autoreps import build_rho, group_mul
-from wildram.cohomology import PolePartClass, classes_equal
+from wildram.autoreps import build_rho, group_mul, group_pow
+from wildram.cohomology import OneCochain, PolePartClass, classes_equal
 from wildram.coeffring import make_artin_algebra
 from wildram.deform import (
     DeformationDatum,
@@ -18,6 +19,7 @@ from wildram.deform import (
     deformed_rho,
     lifting_predicates,
     make_datum,
+    make_matrix_rep,
     obstruction_two_cocycle,
     rep_validate,
     tangent_cocycle_extract,
@@ -138,6 +140,30 @@ def test_deformed_rho_refuses_an_equation_known_short_of_the_window():
         deformed_rho(datum.matrix_rep(), ftilde, ch.generator(1), 12)
 
 
+def test_deformed_rho_refuses_a_solution_with_a_pole():
+    """Over eps^3 a non-trivial datum at (5,1,3) has a solution of the
+    functional equation only with a nilpotent pole at t^-1, outside A[[t]];
+    the solve refuses it."""
+    ch = character_for(5, 1, 3)
+    rng = random.Random(0)
+    A = make_artin_algebra(ch.field, 3)
+    eps = A.eps()
+
+    def elem():
+        return A.include(ch.field.from_raw(rng.randrange(ch.field.q)))
+    scale = ch.field.from_raw(rng.randrange(1, ch.field.q))
+    C = [A.include(ch.vals[0]) + eps * elem()]
+    lam = [A.one() + eps * A.include(scale * ch.vals[0])]
+    rep = make_matrix_rep(A, ch, C, lam)
+    terms = {ch.m: A.one()}
+    for mu in range(ch.m):
+        terms[mu] = eps * elem()
+    ftilde = invert_unit_series(
+        LaurentSeries.make(A, terms, 16 * (ch.m + 2) + 2 * ch.m))
+    with pytest.raises(NoSolution):
+        deformed_rho(rep, ftilde, ch.generator(1), 3 * (ch.m + 2))
+
+
 def test_tangent_extraction_product_count(monkeypatch):
     """Timer-free cost guard: one extraction at (5,2,19) with ftilde at
     16(m+2) visits at most 250 000 coefficient pairs in series products.
@@ -157,6 +183,100 @@ def test_tangent_extraction_product_count(monkeypatch):
     monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
     tangent_cocycle_extract(rep, ftilde)
     assert sum(pairs) <= 250_000
+
+
+def test_tangent_extraction_composes_only_ftilde(monkeypatch):
+    """Timer-free cost guard: one extraction at (5,2,19) composes nothing
+    but ftilde, at most twice per generator (one correction and the final
+    check over the dual numbers), and inverts no series directly.  The
+    Newton solve composed ftilde' as well and inverted the result."""
+    ch = character_for(5, 2, 19)
+    datum = seeded_datum(ch, random.Random(19))
+    rep = datum.matrix_rep()
+    ftilde = datum.ftilde(16 * (ch.m + 2))
+    outers, inversions = [], []
+
+    def tracing_compose(outer, inner):
+        outers.append(outer)
+        return compose(outer, inner)
+
+    def tracing_invert(a):
+        inversions.append(a)
+        return invert_unit_series(a)
+
+    monkeypatch.setattr(deform, "compose", tracing_compose)
+    monkeypatch.setattr(deform, "invert_unit_series", tracing_invert)
+    tangent_cocycle_extract(rep, ftilde)
+    assert outers and all(outer is ftilde for outer in outers)
+    assert len(outers) <= 2 * ch.s
+    assert not inversions
+
+
+def test_derived_start_needs_no_rerun(monkeypatch):
+    """The working precision prec + n gap certifies prec on the first run:
+    deformed_rho builds rho_g once per call, on seeded data over eps^2 at
+    every group element of the small grid."""
+    builds = []
+
+    def counting_build_rho(ch, g, prec=None):
+        builds.append(prec)
+        return build_rho(ch, g, prec)
+
+    monkeypatch.setattr(deform, "build_rho", counting_build_rho)
+    calls = 0
+    for p, s, m in small_grid():
+        ch = character_for(p, s, m)
+        rng = random.Random(1000 * p + 10 * s + m)
+        for _ in range(2):
+            datum = seeded_datum(ch, rng)
+            rep, ftilde = datum.matrix_rep(), datum.ftilde(16 * (m + 2))
+            for g in ch.group():
+                if not g.is_identity():
+                    deformed_rho(rep, ftilde, g, 3 * (m + 2))
+                    calls += 1
+    assert len(builds) == calls
+
+
+def composed_extraction(rep, ftilde, prec):
+    """The tangent cochain read off rho~_g o rho_g^{-1} = t + eps h, with
+    rho_g^{-1} = rho_{g^(p-1)} built in closed form."""
+    A, ch = rep.A, rep.ch
+    t_A = LaurentSeries.t_power(A, 1, INF)
+    vals = []
+    for i in range(1, ch.s + 1):
+        g = ch.generator(i)
+        T = deformed_rho(rep, ftilde, g, prec)
+        rho_inv = build_rho(ch, group_pow(ch, g, ch.p - 1), prec).lift_ring(A)
+        diff = compose(T, rho_inv) - t_A
+        assert diff.prec >= ch.m + 2 and diff.residue().is_zero()
+        vals.append(PolePartClass.from_series(
+            ch, diff.eps_component(1).shift(-(ch.m + 1))))
+    return OneCochain(ch, tuple(vals))
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_extraction_matches_composition_with_inverse(p, s, m):
+    """Reading h off the eps part of rho~_g gives the cochain that
+    composing with rho_g^{-1} gives, on three seeded data per point."""
+    ch = character_for(p, s, m)
+    rng = random.Random(500 + 100 * p + 10 * s + m)
+    nonzero = False
+    for _ in range(3):
+        datum = seeded_datum(ch, rng)
+        rep, ftilde = datum.matrix_rep(), datum.ftilde(16 * (m + 2))
+        got = tangent_cocycle_extract(rep, ftilde)
+        assert got == composed_extraction(rep, ftilde, 3 * (m + 2))
+        nonzero = nonzero or not got.is_zero()
+    assert nonzero
+
+
+def test_tangent_extraction_refuses_a_window_short_of_the_pole_part():
+    """The pole part of h / t^{m+1} reads h mod t^{m+1}; a precision below
+    m + 2 cannot fix it."""
+    ch = character_for(3, 1, 2)
+    datum = seeded_datum(ch, random.Random(4))
+    with pytest.raises(NoSolution):
+        tangent_cocycle_extract(datum.matrix_rep(), datum.ftilde(60), ch.m + 1)
 
 
 def test_deformed_rho_reduces_to_rho():
@@ -240,7 +360,7 @@ def test_obstruction_vanishes_for_straight_lifts(order):
         ft = LaurentSeries.t_power(A, -m, 8 * window)
         lifts = {i: deformed_rho(rep, ft, ch.generator(i), window)
                  for i in range(1, s + 1)}
-        obs = obstruction_two_cocycle(rep, ft, lifts)
+        obs = obstruction_two_cocycle(rep, lifts)
         assert obs["identically_zero"]
         assert obs["vanishes_in_H2"]
 
@@ -260,7 +380,7 @@ def test_perturbed_lift_gives_nonzero_coboundary():
     base = compose(lifts[1], lifts[1])
     bump = LaurentSeries.make(A, {1: A.eps()}, INF)
     lifts[gg.exps] = base + bump
-    obs = obstruction_two_cocycle(rep, ft, lifts)
+    obs = obstruction_two_cocycle(rep, lifts)
     assert not obs["identically_zero"]
     assert obs["vanishes_in_H2"]
 
@@ -328,7 +448,7 @@ def test_obstruction_table_matches_reversion(p, s, m):
             bump = LaurentSeries.make(A, {rng.randrange(1, m + 1): A.from_raw(top)}, INF)
             cases.append(({**lifts, exps: peeled_lift(lifts, exps) + bump}, True))
         for case, bumped in cases:
-            got = obstruction_two_cocycle(rep, ft, case)["cochain"]
+            got = obstruction_two_cocycle(rep, case)["cochain"]
             assert got == reverted_obstruction_table(rep, case, 3 * (m + 2))
             assert any(not v.is_zero() for v in got.values()) == bumped
 
@@ -342,7 +462,7 @@ def test_obstruction_rejects_disagreement_below_the_kernel():
     bump = LaurentSeries.make(A, {1: A.eps()}, INF)
     lifts[(2,)] = peeled_lift(lifts, (2,)) + bump
     with pytest.raises(ReductionMismatch):
-        obstruction_two_cocycle(rep, ft, lifts)
+        obstruction_two_cocycle(rep, lifts)
 
 
 def test_obstruction_rejects_bad_reduction():
@@ -350,10 +470,9 @@ def test_obstruction_rejects_bad_reduction():
     A = make_artin_algebra(ch.field, 2)
     rep = trivial_rep(A, ch)
     window = 3 * (ch.m + 2)
-    ft = LaurentSeries.t_power(A, -ch.m, 8 * window)
     wrong = {1: LaurentSeries.make(A, {1: A.one(), 2: A.one()}, 8 * window)}
     with pytest.raises(ReductionMismatch):
-        obstruction_two_cocycle(rep, ft, wrong)
+        obstruction_two_cocycle(rep, wrong)
 
 
 def test_lifting_predicates_flags():

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, and no
-library module checks an invariant with ``assert``, which ``python -O``
-strips, or with a hand-raised ``AssertionError``, which names no invariant.
+"""Every name a library module imports is used in that module, every
+parameter of a library function is read by its body, and no library module
+checks an invariant with ``assert``, which ``python -O`` strips, or with a
+hand-raised ``AssertionError``, which names no invariant.
 
 The import scan skips the package's ``__init__.py``, since its imports are
 the public re-exports, and ``from __future__``.
@@ -45,6 +46,46 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unread_parameters(source):
+    """(line, function, parameter) for each parameter, ``self`` and ``cls``
+    apart, that the function body never reads; a read inside a nested
+    function counts."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, name) for name in params
+                if name not in ("self", "cls") and name not in read]
+    return sorted(out)
+
+
+def test_parameter_scanner_flags_only_unread_parameters():
+    source = ("def f(a, b, *rest, c=1, **opts):\n"
+              "    b = 2\n"
+              "    def g():\n"
+              "        return a + b\n"
+              "    return g\n"
+              "class K:\n"
+              "    def m(self, x, y):\n"
+              "        return x\n"
+              "    @classmethod\n"
+              "    def n(cls, z=None):\n"
+              "        return cls\n")
+    assert unread_parameters(source) == [
+        (1, "f", "c"), (1, "f", "opts"), (1, "f", "rest"),
+        (7, "m", "y"), (10, "n", "z")]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_unread_parameters(module):
+    assert unread_parameters((SRC / module).read_text()) == []
 
 
 def _raises_assertion_error(node):
