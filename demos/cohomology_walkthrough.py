@@ -1,6 +1,6 @@
-"""Cohomology of the pole-part module, three ways.
+"""Cohomology of the tangent module, three ways.
 
-H^1(V, M) classifies first-order deformations of the action.  We compute
+H^1(V, T) classifies first-order deformations of the action.  We compute
 its dimension by brute-force linear algebra, compare with the closed
 digit formula, exhibit the cyclic basis for s = 1, and show the one case
 where the group does NOT split into cyclic pieces cohomologically.

@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from . import ascover, cohomology, deform
+from . import ascover, cohomology, deform, linalg
 from .autoreps import (
     build_rho,
     default_precision,
@@ -147,7 +147,6 @@ def task_cohomology(job):
     if s == 1:
         basis = cohomology.h1_basis_cyclic(ch)
         vecs = [cohomology.cocycle_class_vector(ch, c) for _, c in basis]
-        from . import linalg
         out["basis_rank"] = linalg.rank(ch.field, vecs) if vecs else 0
         out["ok"] = out["ok"] and out["basis_rank"] == bf["dim"]
     if ch.order() <= 9:

@@ -10,6 +10,7 @@ raw_* methods shared by both descriptor types.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -178,14 +179,12 @@ class FieldDescriptor:
 
     def raw_frobenius(self, a, e=1):
         frob = self.tables()[4]
-        for _ in range(e % self.d if self.d > 1 else 0):
+        for _ in range(e % self.d):
             a = frob[a]
-        return a if self.d > 1 else a
+        return a
 
     def raw_p_root(self, a, e=1):
         frob_inv = self.tables()[5]
-        if self.d == 1:
-            return a
         for _ in range(e % self.d):
             a = frob_inv[a]
         return a
@@ -277,37 +276,10 @@ class FieldElem:
 
 # -- field construction -------------------------------------------------------
 
-def _has_root(coeffs, p):
-    for r in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return True
-    return False
-
-
 def _poly_trim(a, p):
     a = [c % p for c in a]
     while a and a[-1] == 0:
         a.pop()
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a, p), _poly_trim(b, p)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b):
-            lead = r[-1] * inv % p
-            shift = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[shift + i] = (r[shift + i] - lead * c) % p
-            r = _poly_trim(r, p)
-            if not r:
-                break
-        a, b = b, r
     return a
 
 
@@ -324,59 +296,23 @@ def _poly_mod(r, modulus, p):
             r[shift + i] = (r[shift + i] - lead * c) % p
 
 
-def _frob_power(k, modulus, p):
-    """x^(p^k) reduced mod the monic modulus, by repeated p-th powering;
-    a(x)^p = a(x^p) since the coefficients are in F_p."""
-    acc = [0, 1]
-    for _ in range(k):
-        lifted = [0] * (p * (len(acc) - 1) + 1)
-        for i, c in enumerate(acc):
-            lifted[i * p] = c % p
-        acc = _poly_mod(lifted, modulus, p)
-        if not acc:
-            acc = [0]
-    return acc
-
-
 def _is_irreducible(coeffs, p):
-    """Rabin's criterion for a monic polynomial over F_p."""
+    """Whether a monic polynomial over F_p is irreducible, by trial division
+    by every monic polynomial of degree 1 to d/2.  Fields in scope have
+    d <= 6 and p^d <= 625, so that is at most 30 divisors."""
     d = len(coeffs) - 1
-    if d <= 1:
-        return d == 1
-    if _has_root(coeffs, p):
-        return False
-    x_pd = _frob_power(d, tuple(coeffs), p)
-    minus_x = _poly_trim([c for c in x_pd], p)
-    diff = list(minus_x) + [0] * max(0, 2 - len(minus_x))
-    diff[1] = (diff[1] - 1) % p
-    if _poly_trim(diff, p):
-        return False
-    primes = {r for r in range(2, d + 1) if d % r == 0 and all(r % q for q in range(2, r))}
-    for r in primes:
-        x_pk = _frob_power(d // r, tuple(coeffs), p)
-        diff = list(x_pk) + [0] * max(0, 2 - len(x_pk))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(list(coeffs), diff, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    return d >= 1 and all(_poly_mod(coeffs, low + (1,), p)
+                          for k in range(1, d // 2 + 1)
+                          for low in itertools.product(range(p), repeat=k))
 
 
 @lru_cache(maxsize=None)
 def _default_modulus(p, d):
-    if d == 1:
-        return (0, 1)
-    def vectors(k):
-        if k == 0:
-            yield ()
-            return
-        for rest in vectors(k - 1):
-            for c in range(p):
-                yield rest + (c,)
-    for low in sorted(vectors(d)):
-        cand = tuple(low) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
+    """The first monic irreducible of degree d, its low coefficients in
+    lexicographic order."""
+    for low in itertools.product(range(p), repeat=d):
+        if _is_irreducible(low + (1,), p):
+            return low + (1,)
     raise NoIrreducibleModulus("no irreducible of degree %d mod %d" % (d, p))
 
 

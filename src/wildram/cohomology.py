@@ -8,15 +8,18 @@ sigma acts by the one binomial formula
     t^e -> t^e (1 + c(sigma) t^m)^{-e/m},
 
 and every action matrix, on M and on the graded components of the tangent
-module, is a slice of it.  H^1 and H^2 are computed by exact linear algebra
-over k in one generator complex Hom_V(P, M), where P is the tensor product
-of the periodic resolutions of the s cyclic factors: the H^1 of each graded
-component, `is_cocycle`, the coboundaries behind `cocycle_class_vector`,
-the dimension of H^2 and the coboundary test for 2-cochains given on all
-pairs of group elements, such as the obstruction cocycles, all read its
-differentials; the last pulls the cochain back along the chain map from
-the periodic resolutions to the bar resolution.  Alongside sit the closed
-dimension formula, the cyclic basis, the splitting criterion and the Krull
+module T, is a slice of it.  H^1 and H^2 are computed by exact linear
+algebra over k in one generator complex Hom_V(P, -), where P is the tensor
+product of the periodic resolutions of the s cyclic factors.  On T,
+`h1_brute_force` reads the dimension of H^1 and a basis of class
+representatives off one echelon form per graded component; the basis is
+given in T's graded coordinates, not as cochains of M.  On M, `is_cocycle`,
+the coboundaries behind `cocycle_class_vector`, the dimension of H^2 and
+the coboundary test for 2-cochains given on all pairs of group elements,
+such as the obstruction cocycles, all read its differentials; the last
+pulls the cochain back along the chain map from the periodic resolutions
+to the bar resolution.  Alongside sit the closed dimension formula of
+H^1(V, T), the cyclic basis, the splitting criterion and the Krull
 dimension of the unobstructed locus.
 """
 
@@ -33,11 +36,6 @@ from .series import pole_part
 
 class TooLarge(ValueError):
     pass
-
-
-class ClassCountMismatch(ArithmeticError):
-    """A graded component yielded a number of H^1 class representatives
-    other than its window-class dimension."""
 
 
 @dataclass(frozen=True)
@@ -241,9 +239,12 @@ def _generator_matrices(ch):
 
 
 def _component_h1(ch, r):
-    """H^1 data of one graded component: window-class dimension, an
-    echelonized coboundary window basis, and class representatives as
-    window vectors (s blocks of the lowest component_window levels)."""
+    """Class representatives of one graded component, as window vectors
+    (s blocks of the lowest component_window levels).  The windowed
+    coboundaries lie inside the windowed cocycles, so the rows of the
+    echelonized cocycle window whose pivot is not a pivot of the
+    echelonized coboundary window are independent modulo it, and there
+    are rank Z_w - rank B_w of them."""
     field = ch.field
     p, s = ch.p, ch.s
     L = component_depth(p)
@@ -251,68 +252,36 @@ def _component_h1(ch, r):
     mats = [component_action_matrix(ch, ch.generator(i), r, L)
             for i in range(1, s + 1)]
     d0, d1 = _complex(field, mats, p, 1)
-    zbasis = linalg.nullspace(field, d1, s * L)
 
     def window(v):
-        out = []
-        for i in range(s):
-            out.extend(v[i * L:i * L + W])
-        return out
+        return [x for i in range(s) for x in v[i * L:i * L + W]]
 
-    zproj = [window(v) for v in zbasis]
-    bred, bpivots = linalg.rref(field, [window(col) for col in zip(*d0)])
-    dim = linalg.rank(field, zproj + [list(rr) for rr in bred]) - len(bred)
-
-    reps = []
-    chosen_rows = [list(rr) for rr in bred]
-    chosen_pivots = list(bpivots)
-    for v in zproj:
-        w = linalg.reduce_against(field, chosen_rows, chosen_pivots, v)
-        if any(w):
-            piv = next(k for k, x in enumerate(w) if x)
-            winv = field.raw_inv(w[piv])
-            w = [field.raw_mul(x, winv) for x in w]
-            chosen_rows.append(w)
-            chosen_pivots.append(piv)
-            order = sorted(range(len(chosen_pivots)), key=lambda k: chosen_pivots[k])
-            chosen_rows = [chosen_rows[k] for k in order]
-            chosen_pivots = [chosen_pivots[k] for k in order]
-            reps.append(w)
-    if len(reps) != dim:
-        raise ClassCountMismatch("%d class representatives for a window-class dimension of %d"
-                                 % (len(reps), dim))
-    return {"dim": dim, "reps": reps, "b_rref": bred, "b_pivots": bpivots}
+    zbasis = linalg.nullspace(field, d1, s * L)
+    zred, zpivots = linalg.rref(field, [window(v) for v in zbasis])
+    bpivots = set(linalg.rref(field, [window(col) for col in zip(*d0)])[1])
+    return [row for row, c in zip(zred, zpivots) if c not in bpivots]
 
 
 def h1_brute_force(ch):
-    """dim_k H^1 and a deterministic basis of class representatives.
+    """dim_k H^1(V, T) of the tangent module T and a deterministic basis
+    of class representatives, as (r, window vector) pairs.
 
-    Cocycles on the graded components of the tangent module are the kernel
-    of d^1 on generator values: the norm conditions
-    (1 + sigma_i + ... + sigma_i^{p-1}) x_i = 0 and the pairwise
+    T is graded by the degree mod m of its vector fields t^j d/dt, and
+    H^1 splits over the components r = 0, ..., m-1.  Cocycles of a
+    component are the kernel of d^1 on generator values: the norm
+    conditions (1 + sigma_i + ... + sigma_i^{p-1}) x_i = 0 and the pairwise
     compatibility x_i + sigma_i x_j = x_j + sigma_j x_i; coboundaries are
     the image ((sigma_i - 1) n)_i of d^0.  Classes are compared through the
     low-degree window of each component, where the computation has
-    stabilized; the components are assembled in order of increasing degree.
+    stabilized.  A window vector of component r has s blocks of
+    component_window(p) levels: block i, level l is the coefficient of
+    t^{r+lm} d/dt in the value on sigma_{i+1}.  The pairs come in order of
+    increasing r.
     """
-    p, s, m = ch.p, ch.s, ch.m
     if ch.order() > 125:
         raise TooLarge("group order above 125 is out of scope")
-    dim = 0
-    reps = []
-    W = component_window(p)
-    for r in range(m):
-        comp = _component_h1(ch, r)
-        dim += comp["dim"]
-        for w in comp["reps"]:
-            pole = [0] * (s * (m + 1))
-            for i in range(s):
-                for l in range(W):
-                    j = r + l * m
-                    if 0 < m + 1 - j <= m + 1:
-                        pole[i * (m + 1) + (m - j)] = w[i * W + l]
-            reps.append(OneCochain.from_vector(ch, pole))
-    return {"dim": dim, "basis": reps}
+    basis = [(r, w) for r in range(ch.m) for w in _component_h1(ch, r)]
+    return {"dim": len(basis), "basis": basis}
 
 
 def is_cocycle(ch, cochain):
@@ -321,24 +290,12 @@ def is_cocycle(ch, cochain):
     return not any(linalg.mat_vec(ch.field, d1, cochain.vector()))
 
 
-_coboundary_cache = {}
-
-
-def _coboundary_data(ch):
-    """Echelonized basis of the coboundaries ((sigma_i - 1) n)_i of the
-    pole-part module, as s(m+1)-coordinate vectors: the columns of d^0."""
-    if ch not in _coboundary_cache:
-        d0 = _complex(ch.field, _generator_matrices(ch), ch.p, 0)[0]
-        _coboundary_cache[ch] = linalg.rref(ch.field, [list(c) for c in zip(*d0)])
-    return _coboundary_cache[ch]
-
-
 def cocycle_class_vector(ch, cochain):
-    """Coordinates of the cochain's class: the value vector reduced modulo
-    the coboundary space of the pole-part module."""
-    bred, bpivots = _coboundary_data(ch)
-    return linalg.reduce_against(ch.field, [list(r) for r in bred],
-                                 list(bpivots), cochain.vector())
+    """Coordinates of the cochain's class in M: the value vector reduced
+    modulo the coboundaries ((sigma_i - 1) n)_i, the columns of d^0."""
+    d0 = _complex(ch.field, _generator_matrices(ch), ch.p, 0)[0]
+    bred, bpivots = linalg.rref(ch.field, list(zip(*d0)))
+    return linalg.reduce_against(ch.field, bred, bpivots, cochain.vector())
 
 
 def classes_equal(ch, a, b):
@@ -349,7 +306,10 @@ def classes_equal(ch, a, b):
 # -- closed formulas ----------------------------------------------------------
 
 def h1_closed_formula(p, s, m):
-    """dim_k H^1(V, M) via the floor/ceiling summation formula."""
+    """dim_k H^1(V, T) of the tangent module, the dimension h1_brute_force
+    computes, via the floor/ceiling summation formula.  It is not the H^1
+    of the quotient M: at (2, 1, 1) the generator complex on M gives 2
+    against 1 here."""
     if m % p == 0:
         raise ValueError("gcd(m, p) must be 1")
     total = 0

@@ -1,11 +1,15 @@
 """Finite fields and Artin local algebras: exact arithmetic invariants."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wildram.coeffring import (
     NotAUnit,
     ReducibleModulus,
+    _default_modulus,
+    _is_irreducible,
     make_artin_algebra,
     make_field,
     p_power_root,
@@ -67,6 +71,38 @@ def test_multiplicative_order_divides_q_minus_1():
 def test_reducible_modulus_rejected():
     with pytest.raises(ReducibleModulus):
         make_field(2, 2, modulus=[1, 0, 1])  # x^2 + 1 = (x+1)^2 over F_2
+
+
+def _monic(p, k):
+    return [low + (1,) for low in itertools.product(range(p), repeat=k)]
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+# Every (p, d) with d <= 6 and p^d <= 625 among the primes p with p^2 <= 625:
+# 3 220 monic polynomials.  The larger primes only have d = 1.
+IRREDUCIBILITY_CASES = [(p, d) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                        for d in range(1, 7) if p ** d <= 625]
+
+
+@pytest.mark.parametrize("p,d", IRREDUCIBILITY_CASES)
+def test_irreducibility_matches_products_of_factors(p, d):
+    """The verdict on every monic polynomial of degree d over F_p against the
+    set of products of two monic factors of positive degree, and the
+    default modulus is the first irreducible in lexicographic order."""
+    reducible = {_poly_mul(a, b, p) for k in range(1, d // 2 + 1)
+                 for a in _monic(p, k) for b in _monic(p, d - k)}
+    candidates = _monic(p, d)
+    assert [_is_irreducible(f, p) for f in candidates] == \
+        [f not in reducible for f in candidates]
+    assert _default_modulus(p, d) == \
+        next(f for f in candidates if f not in reducible)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

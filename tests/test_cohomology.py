@@ -15,6 +15,7 @@ from wildram.cohomology import (
     classes_equal,
     component_action_matrix,
     component_depth,
+    component_window,
     cocycle_class_vector,
     h1_basis_cyclic,
     h1_brute_force,
@@ -98,6 +99,36 @@ def test_coboundaries_are_cocycles_with_zero_class(p, s, m):
 def test_h1_formula_matches_brute_force(p, s, m):
     ch = character_for(p, s, m)
     assert h1_brute_force(ch)["dim"] == h1_closed_formula(p, s, m)
+
+
+@pytest.mark.parametrize("p,s,m", small_grid() + [(3, 2, 10), (5, 2, 6)])
+def test_h1_basis_is_independent_modulo_coboundaries(p, s, m):
+    """Each component's representatives are nonzero windows of cocycles,
+    and stay independent after reduction against that component's
+    windowed coboundaries."""
+    ch = character_for(p, s, m)
+    field = ch.field
+    out = h1_brute_force(ch)
+    basis = out["basis"]
+    assert len(basis) == out["dim"]
+    L, W = component_depth(p), component_window(p)
+
+    def window(v):
+        return [x for i in range(s) for x in v[i * L:i * L + W]]
+
+    assert all(0 <= r < m for r, _ in basis)
+    for r in range(m):
+        reps = [w for rr, w in basis if rr == r]
+        assert all(len(w) == s * W and any(w) for w in reps)
+        mats = [component_action_matrix(ch, ch.generator(i), r, L)
+                for i in range(1, s + 1)]
+        d0, d1 = _complex(field, mats, p, 1)
+        zw = [window(v) for v in linalg.nullspace(field, d1, s * L)]
+        for w in reps:
+            assert linalg.rank(field, zw + [w]) == linalg.rank(field, zw)
+        bred, bpivots = linalg.rref(field, [window(col) for col in zip(*d0)])
+        reduced = [linalg.reduce_against(field, bred, bpivots, w) for w in reps]
+        assert linalg.rank(field, reduced) == len(reps)
 
 
 def test_h1_formula_known_values():
