@@ -38,6 +38,10 @@ class TooLarge(ValueError):
     pass
 
 
+class CochainLengthMismatch(ValueError):
+    """A 1-cochain's value vector does not have s(m+1) coordinates."""
+
+
 @dataclass(frozen=True)
 class PolePartClass:
     """Element of the twisted module: coefficients of t^{-1}, ..., t^{-(m+1)}."""
@@ -292,10 +296,16 @@ def is_cocycle(ch, cochain):
 
 def cocycle_class_vector(ch, cochain):
     """Coordinates of the cochain's class in M: the value vector reduced
-    modulo the coboundaries ((sigma_i - 1) n)_i, the columns of d^0."""
+    modulo the coboundaries ((sigma_i - 1) n)_i, the columns of d^0.
+    Anything but a whole cochain, one value per generator, is refused:
+    a single value would be reduced against truncated coboundaries."""
+    vec = cochain.vector()
+    if len(vec) != ch.s * (ch.m + 1):
+        raise CochainLengthMismatch("expected %d coordinates, got %d"
+                                    % (ch.s * (ch.m + 1), len(vec)))
     d0 = _complex(ch.field, _generator_matrices(ch), ch.p, 0)[0]
     bred, bpivots = linalg.rref(ch.field, list(zip(*d0)))
-    return linalg.reduce_against(ch.field, bred, bpivots, cochain.vector())
+    return linalg.reduce_against(ch.field, bred, bpivots, vec)
 
 
 def classes_equal(ch, a, b):

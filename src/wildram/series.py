@@ -8,9 +8,14 @@ Over an Artin ring the interesting valuation is the *reduced* one (the
 valuation of the reduction modulo the maximal ideal); terms below it can
 exist but carry nilpotent coefficients.
 
-Composition is a sparse Horner scheme over the nonzero terms of the outer
-series: composing two rho, which lie in t k[[t^m]], takes a few powers
-inner^(km) and one product per nonzero term, not one product per exponent.
+Composition sums c_j inner^j over the nonzero terms c_j t^j of the outer
+series, reading every power from a table of powers that the inner series
+owns and fills on demand, in ascending j, each new power by one product of
+two powers already there.  inner^j is cut to the precision that j steps of
+dense Horner evaluation reach, so the sum carries the precision a Horner
+loop over every exponent of the outer would.  The group law and the
+obstruction cocycle compose |V|^2 outers with |V| inners: each power is
+computed once per inner, not once per pair.
 """
 
 from __future__ import annotations
@@ -91,12 +96,24 @@ def _eps_parts(coeffs, field, lo):
             for col in zip(*coeffs.values())]
 
 
+def _from_rows(ring, acc, lo, prec, field):
+    """The series whose coefficient of t^(lo + k) is column k of acc."""
+    vals = acc[0] if field else list(zip(*acc))
+    nonzero = vals if field else list(map(any, vals))
+    coeffs = dict(zip(compress(range(lo, lo + len(vals)), nonzero),
+                      compress(vals, nonzero)))
+    return LaurentSeries._clean(ring, coeffs, prec)
+
+
 class LaurentSeries:
-    __slots__ = ("ring", "coeffs", "prec")
+    # _powers: the table of powers compose reads when this series is the
+    # inner one, None until the first such compose (see _table_powers).
+    __slots__ = ("ring", "coeffs", "prec", "_powers")
 
     def __init__(self, ring, coeffs, prec):
         self.ring = ring
         self.prec = prec
+        self._powers = None
         self.coeffs = {e: c for e, c in coeffs.items()
                        if e < prec and not ring.raw_is_zero(c)}
 
@@ -238,17 +255,13 @@ class LaurentSeries:
                             break
                         k = off + e2
                         out[k] = add[out[k]][row[c2]]
-        vals = acc[0] if field else list(zip(*acc))
-        nonzero = vals if field else list(map(any, vals))
-        coeffs = dict(zip(compress(range(lo, lo + span), nonzero),
-                          compress(vals, nonzero)))
-        return LaurentSeries._clean(r, coeffs, prec)
+        return _from_rows(r, acc, lo, prec, field)
 
     @classmethod
     def _clean(cls, ring, coeffs, prec):
         """Wrap coefficients already known to be nonzero and below prec."""
         s = cls.__new__(cls)
-        s.ring, s.coeffs, s.prec = ring, coeffs, prec
+        s.ring, s.coeffs, s.prec, s._powers = ring, coeffs, prec, None
         return s
 
     def scale(self, c):
@@ -418,9 +431,11 @@ def compose(outer, inner):
 
     inner must have reduced valuation >= 1; negative powers of inner go
     through invert_unit_series (so inner's reduction must be nonzero).
-    Both halves of outer go through the sparse Horner scheme of _horner:
-    the exponents >= 0 in powers of inner, the negated negative exponents
-    in powers of 1/inner.
+    The result is the sum of c_j inner^j over the terms c_j t^j of outer,
+    each power read from the table of powers that inner owns
+    (_table_powers), inner^(-j) as a power of one 1/inner kept there too.
+    Its precision is the least of its powers', and at most cap, what the
+    precision of outer allows.
     """
     if outer.ring != inner.ring:
         raise RingMismatch("incompatible coefficient rings")
@@ -442,47 +457,102 @@ def compose(outer, inner):
     else:
         cap = (outer.prec - (nil - 1)) * rv + (nil - 1) * min(inner.lead, rv)
 
-    terms = sorted(outer.coeffs.items(), reverse=True)
-    pos = [(e, c) for e, c in terms if e >= 0]
-    neg = [(-e, c) for e, c in reversed(terms) if e < 0]
-    zero = LaurentSeries.zero(r)
-    # Each half starts from the precision a Horner loop over every exponent
-    # has on reaching the top term: the nonnegative half after one product
-    # zero * inner, the poles after none.
-    result = _horner(pos, inner, zero * inner) if pos else zero
+    table = inner._powers
+    if table is None:
+        table = inner._powers = {}
+    exps = sorted(outer.coeffs)
+    pos = [e for e in exps if e > 0]
+    neg = [-e for e in reversed(exps) if e < 0]
+    # The nonnegative half starts from the precision of zero * inner, as a
+    # Horner loop over every exponent does: INF + L below INF for an
+    # inexact inner of lead L < 0.
+    start = INF if inner.prec >= INF else INF + min(0, inner.lead)
+    powers = [LaurentSeries.one(r, start)] if 0 in outer.coeffs else []
+    powers += _table_powers(table, inner, 1, start, pos)
     if neg:
-        result = result + _horner(neg, invert_unit_series(inner), zero)
-    return result.truncate(cap)
+        inv = table.get(-1)
+        if inv is None:
+            inv = table[-1] = invert_unit_series(inner)
+        powers += _table_powers(table, inv, -1, INF, neg)
+    coeffs = [outer.coeffs[e] for e in exps if e >= 0] + \
+        [outer.coeffs[-j] for j in neg]
+
+    prec = min([cap] + [x.prec for x in powers])
+    terms = [(x, c) for x, c in zip(powers, coeffs) if x.coeffs]
+    if not terms:
+        return LaurentSeries._clean(r, {}, prec)
+    lo = min(x.lead for x, _ in terms)
+    span = min(prec, max(max(x.coeffs) for x, _ in terms) + 1) - lo
+    if span <= 0:
+        return LaurentSeries._clean(r, {}, prec)
+    field = ring_is_field(r)
+    add, mul = (r if field else r.base).tables()[:2]
+    n = 1 if field else r.n
+    acc = [[0] * span for _ in range(n)]
+    for x, c in terms:
+        if field:
+            out, row = acc[0], mul[c]
+            for e, v in x.coeffs.items():
+                k = e - lo
+                if k < span:
+                    out[k] = add[out[k]][row[v]]
+            continue
+        # eps^i c_i times eps^j v_j lands in eps-component i + j if i + j < n
+        for i, ci in enumerate(c):
+            if not ci:
+                continue
+            row = mul[ci]
+            for e, v in x.coeffs.items():
+                k = e - lo
+                if k >= span:
+                    continue
+                for j in range(n - i):
+                    if v[j]:
+                        out = acc[i + j]
+                        out[k] = add[out[k]][row[v[j]]]
+    return _from_rows(r, acc, lo, prec, field)
 
 
-def _horner(terms, base, acc):
-    """Sum of c base^j over terms, pairs (j, c) in decreasing j >= 0, added
-    onto the zero series acc by Horner's rule with a step of base^gap between
-    two terms (each distinct gap's power computed once) and base^(j_min) last.
+def _table_powers(table, base, sign, start, js):
+    """base^j for each j in js (ascending, >= 1), from the table of powers
+    keyed sign * j, with each missing power added to it.
 
-    Each step is cut to the precision that gap steps of base^1 reach,
-    min(A + gap L, P + a + (gap - 1) L) for acc of precision A and lead a and
-    base of precision P and lead L; a power of a base with nilpotent terms
-    below its reduced valuation can know more.
+    A missing power is the product of the nearest lower power and the power
+    of the gap when the table has that, else of base^(j // 2) and
+    base^(j - j // 2), found the same way.  base^j is cut to the precision
+    that j dense Horner steps of base reach from a constant accumulator of
+    precision start: min(start + j L, P + (j - 1) L) for base of lead L and
+    precision P, INF for an exact base.  inner^1 is inner itself and stays
+    out of its own table, so that no series refers to itself and a table
+    dies with its series.  Threads composing with one inner may grow its
+    table at once: its keys are read once, as a snapshot, and each new
+    power is one dict store.
     """
-    ring, lead, prec = base.ring, base.lead, base.prec
-    powers = {1: base}
+    lead, bprec = base.lead, base.prec
+    have = None
 
-    def step(acc, gap):
-        if gap not in powers:
-            powers[gap] = base.pow(gap)
-        if acc.prec >= INF and prec >= INF:
-            return acc * powers[gap]
-        target = min(acc.prec + gap * lead, prec + acc.lead + (gap - 1) * lead)
-        return (acc * powers[gap]).with_prec(target)
+    def cut(j):
+        if bprec >= INF:
+            return INF
+        return min(start + j * lead, bprec + (j - 1) * lead)
 
-    top = None
-    for j, c in terms:
-        if top is not None:
-            acc = step(acc, top - j)
-        acc = acc + LaurentSeries(ring, {0: c}, INF)
-        top = j
-    return step(acc, top) if top else acc
+    def power(j):
+        nonlocal have
+        if j == 1:
+            return base.truncate(cut(1))
+        x = table.get(sign * j)
+        if x is None:
+            if have is None:
+                have = {1}.union(sign * k for k in list(table) if sign * k > 0)
+            i = max(k for k in have if k < j)
+            if j - i not in have:
+                i = j // 2
+            x = (power(i) * power(j - i)).with_prec(cut(j))
+            table[sign * j] = x
+            have.add(j)
+        return x
+
+    return [power(j) for j in js]
 
 
 def revert(a):

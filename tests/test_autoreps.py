@@ -151,6 +151,25 @@ def test_group_law_and_order(p, s, m):
     assert acc.eq_to_prec(LaurentSeries.t_power(ch.field, 1, acc.prec))
 
 
+def test_group_law_product_count(monkeypatch):
+    """Timer-free cost guard: the group law at (5,2,3), N = 80, composes 629
+    pairs with 25 distinct inners and makes at most 1 000 series products,
+    each power of an inner computed once for all the outers composed with
+    it.  Rebuilding every power for each pair took 16 358."""
+    ch = character_for(5, 2, 3)
+    monkeypatch.setattr(autoreps, "_rho_cache", {})
+    calls = []
+    mul = LaurentSeries.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    assert verify_group_law(ch)["ok"]
+    assert len(calls) <= 1000
+
+
 def test_rho_first_coefficients_small_case():
     """p=2, m=1, c=1: 1/rho^1 = 1/t + 1 means rho = t/(1+t) = t + t^2 + ..."""
     ch = character_for(2, 1, 1)

@@ -85,6 +85,22 @@ def test_run_parallel_matches_serial():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_run_parallel_with_every_task_matches_serial(monkeypatch):
+    """At (3,2,2) with every task, run in the executor's default pool from a
+    fresh rho cache: the rho task fills the tables of powers of the cached
+    rho while the deform task builds rho through the same cache and composes
+    over the dual numbers in another thread."""
+    cfg = sample_config(field={"p": 3, "d": 2},
+                        character={"s": 2, "m": 2, "vals": [[1, 0], [0, 1]]},
+                        tasks=["rho", "cohomology", "ascover", "deform",
+                               "predicates"])
+    monkeypatch.setattr(autoreps, "_rho_cache", {})
+    serial = json.dumps(strip_timing(run(cfg)), sort_keys=True)
+    monkeypatch.setattr(autoreps, "_rho_cache", {})
+    threaded = json.dumps(strip_timing(run(cfg, parallel=True)), sort_keys=True)
+    assert threaded == serial
+
+
 def test_report_is_json_serializable_and_deterministic():
     cfg = sample_config(tasks=["rho", "ascover", "deform"])
     r1 = json.dumps(strip_timing(run(cfg)), sort_keys=True)

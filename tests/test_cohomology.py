@@ -7,6 +7,7 @@ import pytest
 
 from wildram import linalg
 from wildram.cohomology import (
+    CochainLengthMismatch,
     H2Engine,
     OneCochain,
     PolePartClass,
@@ -93,6 +94,18 @@ def test_coboundaries_are_cocycles_with_zero_class(p, s, m):
         cob = OneCochain(ch, vals)
         assert is_cocycle(ch, cob)
         assert classes_equal(ch, cob, OneCochain.zero(ch))
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 3)])
+def test_class_vector_refuses_a_single_value(p, m):
+    """At s = 2 a single value has m+1 coordinates, not s(m+1): reducing it
+    against the coboundaries would truncate their rows, so it is refused."""
+    ch = character_for(p, 2, m)
+    value = random_pole_class(ch, random.Random(7))
+    with pytest.raises(CochainLengthMismatch):
+        cocycle_class_vector(ch, value)
+    whole = OneCochain(ch, (value, value))
+    assert len(cocycle_class_vector(ch, whole)) == 2 * (m + 1)
 
 
 @pytest.mark.parametrize("p,s,m", small_grid())

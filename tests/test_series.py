@@ -1,6 +1,9 @@
 """Truncated Laurent series: ring operations, inversion, composition,
 reversion and Weierstrass preparation."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -311,6 +314,42 @@ def test_compose_matches_dense_horner(ring, data):
     assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
 
 
+@pytest.mark.parametrize("ring", [F5, F9, F4_EPS2, F9_EPS3],
+                         ids=["F5", "F9", "F4_eps2", "F9_eps3"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_compose_shares_one_inner_across_outers(ring, data):
+    """Three outers composed in turn with one inner object: the later ones
+    read powers the earlier ones put in its table, and each result equals
+    dense Horner's, coefficients and precision alike."""
+    outers = [data.draw(sparse_outer(ring)) for _ in range(3)]
+    inner = data.draw(ring_series(ring, lo=1, hi=6))
+    if inner.prec >= INF and any(o.lead < 0 for o in outers):
+        inner = inner.truncate(data.draw(st.integers(inner.lead + 1, 14)))
+    for outer in outers:
+        try:
+            want = dense_compose(outer, inner)
+        except (CompositionDiverges, NotConverged) as exc:
+            with pytest.raises(type(exc)):
+                compose(outer, inner)
+            continue
+        got = compose(outer, inner)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_constant_outer_keeps_the_precision_of_zero_times_inner():
+    """Dense Horner multiplies its zero accumulator by inner once, so over an
+    inexact inner with a nilpotent t^-1 term a constant outer is known to
+    INF - 1, not INF, also once the inner's table holds powers."""
+    A = make_artin_algebra(F5, 2)
+    inner = LaurentSeries.make(A, {-1: A.eps(), 1: 1}, 9)
+    for outer in [LaurentSeries.make(A, {-1: 1, 2: 1}),
+                  LaurentSeries.make(A, {0: 3})]:
+        got, want = compose(outer, inner), dense_compose(outer, inner)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+    assert got.prec == INF - 1
+
+
 @pytest.mark.parametrize("p,s,m", small_grid())
 def test_compose_rho_pairs_match_dense_horner(p, s, m):
     ch = character_for(p, s, m)
@@ -337,6 +376,42 @@ def test_compose_rho_product_count(monkeypatch):
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
     compose(a, b)
     assert len(calls) <= 40
+
+
+def test_threads_growing_one_table_match_dense_horner():
+    """Four threads compose every rho at (5,2,3) with one fresh inner under
+    a short switch interval, so that they grow its table of powers at once:
+    no thread raises and every result equals dense Horner's."""
+    ch = character_for(5, 2, 3)
+    rho = build_rho(ch, ch.generator(2), 80)
+    inner = LaurentSeries(ch.field, rho.coeffs, rho.prec)
+    outers = [build_rho(ch, g, 80) for g in ch.group()]
+    want = [dense_compose(o, inner) for o in outers]
+    got, errors = [], []
+
+    def work(k):
+        try:
+            for i in range(len(outers)):
+                j = (i + 7 * k) % len(outers)
+                got.append((j, compose(outers[j], inner)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 4 * len(outers)
+    for j, x in got:
+        assert (x.coeffs, x.prec) == (want[j].coeffs, want[j].prec)
 
 
 def test_compose_multiplies_an_accumulator_with_no_known_term():
