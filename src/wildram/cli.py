@@ -29,8 +29,8 @@ from .series import LaurentSeries, invert_unit_series
 
 SCHEMA = "wildram-report/1"
 KNOWN_TASKS = ("rho", "cohomology", "ascover", "deform", "predicates")
-# Resource caps on a job: series are built to `precision` terms and the
-# deformation task works over F_q[eps]/eps^artin_order.
+# Resource caps on a job: series are built to `precision` terms, 24(m+2) in
+# the deformation task, which works over F_q[eps]/eps^artin_order.
 MAX_PRECISION = 1024
 MAX_ARTIN_ORDER = 16
 # Seeded first-order data the deform task extracts and checks per job.
@@ -104,6 +104,10 @@ def parse_config(data):
         if t["name"] not in KNOWN_TASKS:
             raise UnknownTask("/tasks/%d/name" % i, t["name"])
         parsed.append(t)
+    _require(all(t["name"] != "deform" for t in parsed)
+             or 24 * (m + 2) <= MAX_PRECISION, "/character/m",
+             "the deform task builds series to 24(m+2) = %d terms, above the "
+             "limit %d" % (24 * (m + 2), MAX_PRECISION))
     return {"field": field, "ch": ch, "artin_order": n,
             "precision": prec, "seed": seed, "tasks": parsed}
 

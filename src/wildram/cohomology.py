@@ -160,10 +160,11 @@ def component_depth(p):
     The module of vector fields t^j d/dt is graded by j mod m (the action
     only adds multiples of m to the degree), so H^1 splits over the
     components.  Classes are compared through a window of the lowest
-    ``component_window`` levels; both bounds carry generous margins over the
-    empirically determined stabilization depth (about p levels), and the
-    result is checked against the closed dimension formula on the whole
-    supported range."""
+    ``component_window`` levels.  Both constants were fitted at s <= 2,
+    where the result agrees with the closed dimension formula on the grid
+    p in {2,3,5}, m <= 20.  They are not certified at s = 3: at p = d = 3,
+    m = 4 this depth gives dim 6 against the formula's 8, and depth and
+    window (40, 8) and (56, 16) give 7 and 8."""
     return 6 * p + 6
 
 

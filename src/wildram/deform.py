@@ -4,13 +4,15 @@ A[[t]], tangent 1-cocycles (extracted and in closed form), obstruction
 
 A matrix datum assigns to each group element a diagonal unit lam(g) = 1 mod
 m_A and a lower-left entry C(g) = c(g) mod m_A subject to the twisted
-homomorphism rule C(gh) = C(g) + lam(g) C(h).  The deformed automorphism is
+homomorphism rule C(gh) = C(g) + lam(g) C(h); its generator values fix it,
+and make_matrix_rep alone builds its tables.  The deformed automorphism is
 the unique T = rho_g mod m_A with ftilde(T) = lam(g) ftilde + C(g).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .autoreps import (
@@ -63,44 +65,41 @@ def trivial_rep(A, ch):
 
 
 def rep_validate(rep):
-    """Check every defining relation of the matrix datum on all of V."""
+    """Check the matrix datum on the generators sigma_i of V = (Z/p)^s: the
+    relations of V, lam_i^p = 1, N_i C_i = 0 with N_i = 1 + lam_i + ... +
+    lam_i^(p-1) = (lam_i - 1)^(p-1), and C_i + lam_i C_j = C_j + lam_j C_i;
+    then the tables against the peel of the generator values.  Failure tags:
+    lam_reduction, C_reduction, lam_order, C_norm (exps of sigma_i),
+    commutativity (sigma_i, sigma_j, i < j), table (an entry off the peel)."""
     A, ch = rep.A, rep.ch
-    p = ch.p
+    gens = [ch.generator(i).exps for i in range(1, ch.s + 1)]
+    Cs, lams = [rep.C[e] for e in gens], [rep.lam[e] for e in gens]
     failures = []
-    for g in ch.group():
-        Cg, lg = rep.C[g.exps], rep.lam[g.exps]
+    for e, Cg, lg, c in zip(gens, Cs, lams, ch.vals):
         if lg.residue() != ch.field.one():
-            failures.append(("lam_reduction", g.exps))
-        if Cg.residue() != character_value(ch, g):
-            failures.append(("C_reduction", g.exps))
-        if lg ** p != A.one():
-            failures.append(("lam_order", g.exps))
-        norm = A.zero()
-        acc = A.one()
-        for _ in range(p):
-            norm = norm + acc
-            acc = acc * lg
-        if Cg * norm != A.zero():
-            failures.append(("C_norm", g.exps))
-    for g in ch.group():
-        for h in ch.group():
-            gh = group_mul(ch, g, h)
-            lhs = rep.C[g.exps] + rep.lam[g.exps] * rep.C[h.exps]
-            if lhs != rep.C[gh.exps]:
-                failures.append(("C_product", g.exps, h.exps))
-            if rep.lam[g.exps] * rep.lam[h.exps] != rep.lam[gh.exps]:
-                failures.append(("lam_product", g.exps, h.exps))
-            rhs = rep.C[h.exps] + rep.lam[h.exps] * rep.C[g.exps]
-            if lhs != rhs:
-                failures.append(("commutativity", g.exps, h.exps))
+            failures.append(("lam_reduction", e))
+        if Cg.residue() != c:
+            failures.append(("C_reduction", e))
+        if lg ** ch.p != A.one():
+            failures.append(("lam_order", e))
+        if Cg * (lg - A.one()) ** (ch.p - 1) != A.zero():
+            failures.append(("C_norm", e))
+    for i, j in combinations(range(ch.s), 2):
+        if Cs[i] + lams[i] * Cs[j] != Cs[j] + lams[j] * Cs[i]:
+            failures.append(("commutativity", gens[i], gens[j]))
+    peel = make_matrix_rep(A, ch, Cs, lams)
+    failures.extend(("table", e) for e in peel.C
+                    if (rep.C.get(e), rep.lam.get(e)) != (peel.C[e], peel.lam[e]))
     return {"valid": not failures, "failures": failures}
 
 
 def conjugate_rep(rep, mu, lam0):
-    """Conjugation by [[1,0],[mu,lam0]]: C'(g) = mu + lam0 C(g) - lam(g) mu,
-    diagonal entries unchanged."""
-    C2 = {e: mu + lam0 * Cg - rep.lam[e] * mu for e, Cg in rep.C.items()}
-    return MatrixRep(rep.A, rep.ch, C2, dict(rep.lam))
+    """Conjugation by [[1,0],[mu,lam0]] of the generator values, C_i ->
+    mu + lam0 C_i - lam_i mu, lam unchanged; the peel commutes with it."""
+    gens = [rep.ch.generator(i).exps for i in range(1, rep.ch.s + 1)]
+    return make_matrix_rep(rep.A, rep.ch,
+                           [mu + lam0 * rep.C[e] - rep.lam[e] * mu for e in gens],
+                           [rep.lam[e] for e in gens])
 
 
 @dataclass(frozen=True)
@@ -299,6 +298,7 @@ def obstruction_two_cocycle(repA2, lifts):
     so the eps^{n-1} part of the difference gives the cochain, with no
     reversion and no composition by rho_gh^{-1}."""
     A, ch = repA2.A, repA2.ch
+    engine = H2Engine(ch)  # raises TooLarge before any composition
     prec = 3 * (ch.m + 2)
     kernel_idx = A.n - 1
     for i in range(1, ch.s + 1):
@@ -328,7 +328,6 @@ def obstruction_two_cocycle(repA2, lifts):
             val = PolePartClass.from_series(ch, hh.shift(-(ch.m + 1)))
             table[(g.exps, h.exps)] = val
             zero = zero and val.is_zero()
-    engine = H2Engine(ch)
     return {"cochain": table,
             "identically_zero": zero,
             "vanishes_in_H2": engine.is_coboundary(table)}

@@ -5,11 +5,12 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import wildram
 from wildram import autoreps, coeffring
 from wildram.cli import (
+    KNOWN_TASKS,
     MAX_ARTIN_ORDER,
     MAX_PRECISION,
     ConfigInvalid,
@@ -145,9 +146,10 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_oversized_jobs_exit_2_before_building_fields(tmp_path, monkeypatch, capsys):
-    """Fields above q = 625 and precisions or Artin orders above their caps
-    are rejected as configuration errors with a message, before any field
-    is enumerated."""
+    """Fields above q = 625, precisions or Artin orders above their caps,
+    and a deform task whose series of 24(m+2) terms would pass the
+    precision cap (m = 41 is the least such m) are rejected as
+    configuration errors with a message, before any field is enumerated."""
     real_modulus = coeffring._default_modulus
     oversized = []
 
@@ -166,7 +168,10 @@ def test_oversized_jobs_exit_2_before_building_fields(tmp_path, monkeypatch, cap
                          (sample_config(precision=10 ** 7, **gf2), "/precision"),
                          (sample_config(precision=MAX_PRECISION + 1), "/precision"),
                          (sample_config(artin_order=MAX_ARTIN_ORDER + 1),
-                          "/artin_order")]:
+                          "/artin_order"),
+                         (sample_config(character={"s": 1, "m": 41, "vals": [[1]]},
+                                        tasks=["rho", {"name": "deform"}]),
+                          "/character/m")]:
         with pytest.raises(ConfigInvalid) as exc:
             parse_config(cfg)
         assert exc.value.pointer == pointer
@@ -251,6 +256,51 @@ def test_parse_config_raises_only_config_invalid(cfg):
         parse_config(cfg)
     except ConfigInvalid:
         pass
+
+
+@st.composite
+def parsed_jobs(draw):
+    """A job that parses: p in {2,3,5}, d <= 3, s <= d, m <= 10 prime to p,
+    Artin order <= 4 and every task."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 3))
+    s = draw(st.integers(1, d))
+    m = draw(st.sampled_from([m for m in range(1, 11) if m % p]))
+    vals = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=d, max_size=d),
+                         min_size=s, max_size=s))
+    cfg = {"field": {"p": p, "d": d},
+           "character": {"s": s, "m": m, "vals": vals},
+           "artin_order": draw(st.integers(1, 4)),
+           "seed": draw(st.integers(0, 99)),
+           "tasks": list(KNOWN_TASKS)}
+    try:
+        parse_config(cfg)
+    except ConfigInvalid:
+        assume(False)
+    return cfg
+
+
+UNTYPED = {"AssertionError", "KeyError", "IndexError", "TypeError",
+           "AttributeError"}
+
+
+@given(cfg=parsed_jobs())
+@settings(max_examples=40, deadline=None)
+def test_parsed_jobs_give_consistent_reports(cfg):
+    """Every task of a parsed job ends in a report: it survives a JSON round
+    trip, its summary counts its task entries, and every error names a
+    typed exception rather than one a bug would raise."""
+    report = run(cfg)
+    text = json.dumps(report, sort_keys=True, allow_nan=False)
+    assert json.dumps(json.loads(text), sort_keys=True) == text
+    tasks = report["tasks"]
+    passed = sum(1 for t in tasks if t["ok"])
+    assert report["summary"] == {"passed": passed, "failed": len(tasks) - passed,
+                                 "ok": passed == len(tasks)}
+    for t in tasks:
+        if "error" in t:
+            assert not t["ok"]
+            assert t["error"].partition(":")[0] not in UNTYPED, t["error"]
 
 
 def test_version_matches_pyproject():

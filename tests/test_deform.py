@@ -2,14 +2,22 @@
 obstruction classes."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wildram import deform
 from wildram.ascover import ReductionMismatch
-from wildram.autoreps import build_rho, group_mul, group_pow
-from wildram.cohomology import OneCochain, PolePartClass, classes_equal
-from wildram.coeffring import make_artin_algebra
+from wildram.autoreps import (
+    build_rho,
+    character_value,
+    group_mul,
+    group_pow,
+    make_character,
+)
+from wildram.cohomology import OneCochain, PolePartClass, TooLarge, classes_equal
+from wildram.coeffring import ArtinElem, make_artin_algebra, make_field
 from wildram.deform import (
     DeformationDatum,
     NoSolution,
@@ -66,6 +74,149 @@ def test_proportional_diagonal_data_are_valid_at_odd_p():
     for _ in range(5):
         datum = seeded_datum(ch, rng)
         assert rep_validate(datum.matrix_rep())["valid"]
+
+
+def all_pairs_validate(rep):
+    """Every defining relation of the matrix datum on every element and
+    every pair of V, in ArtinElem arithmetic: the oracle for rep_validate,
+    which decides on the generators."""
+    A, ch = rep.A, rep.ch
+    p = ch.p
+    failures = []
+    for g in ch.group():
+        Cg, lg = rep.C[g.exps], rep.lam[g.exps]
+        if lg.residue() != ch.field.one():
+            failures.append(("lam_reduction", g.exps))
+        if Cg.residue() != character_value(ch, g):
+            failures.append(("C_reduction", g.exps))
+        if lg ** p != A.one():
+            failures.append(("lam_order", g.exps))
+        norm = A.zero()
+        acc = A.one()
+        for _ in range(p):
+            norm = norm + acc
+            acc = acc * lg
+        if Cg * norm != A.zero():
+            failures.append(("C_norm", g.exps))
+    for g in ch.group():
+        for h in ch.group():
+            gh = group_mul(ch, g, h)
+            lhs = rep.C[g.exps] + rep.lam[g.exps] * rep.C[h.exps]
+            if lhs != rep.C[gh.exps]:
+                failures.append(("C_product", g.exps, h.exps))
+            if rep.lam[g.exps] * rep.lam[h.exps] != rep.lam[gh.exps]:
+                failures.append(("lam_product", g.exps, h.exps))
+            rhs = rep.C[h.exps] + rep.lam[h.exps] * rep.C[g.exps]
+            if lhs != rhs:
+                failures.append(("commutativity", g.exps, h.exps))
+    return {"valid": not failures, "failures": failures}
+
+
+@st.composite
+def generator_reps(draw):
+    """A matrix datum at a small_grid() point over eps^2 or eps^3 from
+    drawn generator values, about a third of them with one table entry
+    corrupted.  lam_i - 1 is often t C_i for one nilpotent t, the shape
+    under which the generators commute; residues are rarely wrong."""
+    p, s, m = draw(st.sampled_from(small_grid()))
+    ch = character_for(p, s, m)
+    A = make_artin_algebra(ch.field, draw(st.sampled_from([2, 3])))
+    q = ch.field.q
+    rarely = st.sampled_from([False] * 9 + [True])
+
+    def elem(residue=0):
+        if draw(rarely):
+            residue = draw(st.integers(0, q - 1))
+        return A.from_raw((residue,) + tuple(
+            draw(st.integers(0, q - 1)) for _ in range(A.n - 1)))
+
+    t = elem()
+    Cs = [elem(c.idx) for c in ch.vals]
+    lams = [A.one() + (t * C if draw(st.booleans()) else elem())
+            for C in Cs]
+    rep = make_matrix_rep(A, ch, Cs, lams)
+    if draw(st.sampled_from([False, False, True])):
+        e = draw(st.sampled_from(sorted(rep.C)))
+        bump = elem(draw(st.integers(0, q - 1)))
+        assume(bump)
+        table = draw(st.sampled_from(["C", "lam"]))
+        rep = replace(rep, **{table: {**getattr(rep, table),
+                                      e: getattr(rep, table)[e] + bump}})
+    return rep
+
+
+@given(rep=generator_reps())
+@settings(max_examples=150, deadline=None)
+def test_generator_check_matches_all_pairs_oracle(rep):
+    """The verdicts agree, and so do the per-element failures the oracle
+    finds on the generators."""
+    got, want = rep_validate(rep), all_pairs_validate(rep)
+    assert got["valid"] == want["valid"]
+    gens = {rep.ch.generator(i).exps for i in range(1, rep.ch.s + 1)}
+    per_element = {"lam_reduction", "C_reduction", "lam_order", "C_norm"}
+    assert {f for f in got["failures"] if f[0] in per_element} == \
+        {f for f in want["failures"] if f[0] in per_element and f[1] in gens}
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_one_corrupted_table_entry_fails_only_the_table_check(p, s, m):
+    """Seeded valid data over eps^2 with one C entry off the peel: the
+    generators still pass, the table check names that entry alone, and the
+    oracle agrees that the datum is invalid.  At p = 2 lambda1 is zeroed,
+    since C_norm refuses every datum with lambda1 != 0 there."""
+    ch = character_for(p, s, m)
+    datum = seeded_datum(ch, random.Random(70 + 10 * p + s + m))
+    if p == 2:
+        datum = replace(datum, lambda1=(ch.field.zero(),) * s)
+    rep = datum.matrix_rep()
+    assert rep_validate(rep) == {"valid": True, "failures": []}
+    gens = {ch.generator(i).exps for i in range(1, s + 1)}
+    for e in rep.C:
+        if e in gens:
+            continue
+        bad = replace(rep, C={**rep.C, e: rep.C[e] + rep.A.eps()})
+        assert rep_validate(bad)["failures"] == [("table", e)]
+        assert not all_pairs_validate(bad)["valid"]
+
+
+def test_rep_validate_multiplication_count(monkeypatch):
+    """Timer-free cost guard: one rep_validate at (5,2,3) makes at most 200
+    ArtinElem multiplications.  The check on all |V|^2 pairs made 2 025."""
+    ch = character_for(5, 2, 3)
+    rep = seeded_datum(ch, random.Random(3)).matrix_rep()
+    products = []
+    mul = ArtinElem.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(ArtinElem, "__mul__", counting_mul)
+    assert rep_validate(rep)["valid"]
+    assert len(products) <= 200
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_conjugation_matches_the_entrywise_formula(p, s, m):
+    """Conjugating the generator values and peeling gives, at every element,
+    C'(g) = mu + lam0 C(g) - lam(g) mu and lam unchanged, over eps^2 and
+    eps^3."""
+    ch = character_for(p, s, m)
+    rng = random.Random(30 + 10 * p + s + m)
+    q = ch.field.q
+    for order in (2, 3):
+        A = make_artin_algebra(ch.field, order)
+
+        def nilpotent():
+            return A.from_raw((0,) + tuple(rng.randrange(q) for _ in range(order - 1)))
+        t = nilpotent()
+        Cs = [A.include(c) + nilpotent() for c in ch.vals]
+        rep = make_matrix_rep(A, ch, Cs, [A.one() + t * C for C in Cs])
+        mu, lam0 = nilpotent(), A.one() + nilpotent()
+        got = conjugate_rep(rep, mu, lam0)
+        assert got.lam == rep.lam
+        assert got.C == {e: mu + lam0 * Cg - rep.lam[e] * mu
+                         for e, Cg in rep.C.items()}
 
 
 def test_deformed_rho_small_oracle():
@@ -462,6 +613,23 @@ def test_obstruction_rejects_disagreement_below_the_kernel():
     lifts[(2,)] = peeled_lift(lifts, (2,)) + bump
     with pytest.raises(ReductionMismatch):
         obstruction_two_cocycle(rep, lifts)
+
+
+def test_obstruction_refuses_a_large_group_before_composing(monkeypatch):
+    """At |V| = 32 > 27 the H^2 engine is out of scope; the obstruction
+    raises TooLarge before it composes any of the |V|^2 lifts."""
+    ch = make_character(make_field(2, 5),
+                        [[0] * i + [1] + [0] * (4 - i) for i in range(5)], 3)
+    A = make_artin_algebra(ch.field, 3)
+    lifts = {i: build_rho(ch, ch.generator(i), 15).lift_ring(A)
+             for i in range(1, 6)}
+
+    def no_compose(outer, inner):
+        pytest.fail("composed before the size check")
+
+    monkeypatch.setattr(deform, "compose", no_compose)
+    with pytest.raises(TooLarge):
+        obstruction_two_cocycle(trivial_rep(A, ch), lifts)
 
 
 def test_obstruction_rejects_bad_reduction():
