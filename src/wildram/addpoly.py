@@ -3,7 +3,8 @@
 An additive polynomial sum c_nu Y^{p^nu} is stored sparsely by Frobenius
 index nu; its root set is an F_p-subspace, and conversely every finite
 F_p-subspace W of the field is the root set of prod_{w in W}(Y - w), which
-the Moore-determinant quotient computes without expanding the product.
+Ore's recursion computes without expanding the product, together with the
+Moore determinant of a basis of W.
 """
 
 from __future__ import annotations
@@ -12,53 +13,6 @@ from dataclasses import dataclass
 
 from .coeffring import FieldElem, ArtinElem, ring_is_field
 from .series import LaurentSeries
-
-
-def _det_raw(ring, mat):
-    """Laplace-expansion determinant over any coefficient ring (n <= 5)."""
-    n = len(mat)
-    if n == 0:
-        return ring.raw_one()
-    if n == 1:
-        return mat[0][0]
-    acc = ring.raw_zero()
-    for j in range(n):
-        c = mat[0][j]
-        if ring.raw_is_zero(c):
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = ring.raw_mul(c, _det_raw(ring, minor))
-        acc = ring.raw_add(acc, term) if j % 2 == 0 else ring.raw_sub(acc, term)
-    return acc
-
-
-def _moore_matrix_raw(ring, raws):
-    n = len(raws)
-    p = ring.p
-    rows = []
-    powed = list(raws)
-    for i in range(n):
-        if i > 0:
-            powed = [ring.raw_pow(x, p) for x in powed]
-        rows.append(list(powed))
-    return rows
-
-
-def moore_det(xs):
-    """Moore determinant of field (or Artin-ring) elements x_1,...,x_n.
-
-    Nonzero iff the arguments are F_p-linearly independent (over a field).
-    """
-    xs = list(xs)
-    if not xs:
-        raise ValueError("empty argument list")
-    first = xs[0]
-    ring = first.field if isinstance(first, FieldElem) else first.ring
-    raws = [x.idx if isinstance(x, FieldElem) else x.raw for x in xs]
-    det = _det_raw(ring, _moore_matrix_raw(ring, raws))
-    if ring_is_field(ring):
-        return FieldElem(ring, det)
-    return ArtinElem(ring, det)
 
 
 @dataclass(frozen=True)
@@ -100,6 +54,14 @@ class PPolynomial:
     def is_zero(self):
         return not self.coeffs
 
+    def value_raw(self, x):
+        """The value at the raw ring element x."""
+        r = self.ring
+        acc = r.raw_zero()
+        for nu, c in self.coeffs:
+            acc = r.raw_add(acc, r.raw_mul(c, r.raw_pow(x, r.p ** nu)))
+        return acc
+
     def __add__(self, other):
         r = self.ring
         out = dict(self.coeffs)
@@ -122,10 +84,11 @@ class PPolynomial:
                                     if not r.raw_is_zero(r.raw_mul(x, c))))
 
     def to_pairs(self):
-        """Serialization: [(nu, coefficient-vector)] sorted by nu."""
+        """Serialization: [[nu, coefficient-vector]] sorted by nu, in the
+        lists that a JSON round trip gives back."""
         if ring_is_field(self.ring):
-            return [(nu, list(self.ring.idx_to_coeffs(c))) for nu, c in self.coeffs]
-        return [(nu, [list(self.ring.base.idx_to_coeffs(i)) for i in c])
+            return [[nu, list(self.ring.idx_to_coeffs(c))] for nu, c in self.coeffs]
+        return [[nu, [list(self.ring.base.idx_to_coeffs(i)) for i in c]]
                 for nu, c in self.coeffs]
 
     def __repr__(self):
@@ -139,10 +102,7 @@ def ppoly_apply(poly, arg):
     r = poly.ring
     p = r.p
     if isinstance(arg, (FieldElem, ArtinElem)):
-        raw = arg.idx if isinstance(arg, FieldElem) else arg.raw
-        acc = r.raw_zero()
-        for nu, c in poly.coeffs:
-            acc = r.raw_add(acc, r.raw_mul(c, r.raw_pow(raw, p ** nu)))
+        acc = poly.value_raw(arg.idx if isinstance(arg, FieldElem) else arg.raw)
         return FieldElem(r, acc) if ring_is_field(r) else ArtinElem(r, acc)
     if isinstance(arg, LaurentSeries):
         if arg.ring != r:
@@ -172,21 +132,41 @@ def frobenius_minus_identity(ring, s):
                                    0: ring.raw_neg(ring.raw_one())})
 
 
-def _bordered_additive_poly(ring, column_raws):
-    """Expand det of the Moore matrix of column_raws bordered by a Y-column
-    along that column; returns the cofactor of Y^{p^{i-1}} for each row i."""
-    n = len(column_raws)
-    # bordered matrix is (n+1)x(n+1): rows i = 0..n carry powers p^i of the
-    # columns and Y^{p^i}; cofactor of row i is (-1)^{i + n} det(minor)
-    full_rows = _moore_matrix_raw(ring, column_raws + [ring.raw_zero()])
-    cofs = []
-    for i in range(n + 1):
-        minor = [[full_rows[j][k] for k in range(n)] for j in range(n + 1) if j != i]
-        d = _det_raw(ring, minor)
-        if (i + n) % 2 == 1:
-            d = ring.raw_neg(d)
-        cofs.append(d)
-    return cofs
+def ore_recursion(ring, raws):
+    """Ore's recursion P <- P^p - P(c)^{p-1} P from P = Y over the values c.
+
+    Returns (P, det).  The final P is monic of p-degree len(raws) and
+    vanishes on the F_p-span of the values; over a field with independent
+    values it is their kernel polynomial prod_{w in span}(Y - w).  det, the
+    product of the values P(c) met on the way, is their Moore determinant
+    det(c_j^{p^i}).  Both identities hold over F_p[c_1, ...], and the
+    recursion divides by nothing, so they hold over Artin rings as well.
+    """
+    frobenius = PPolynomial.make(ring, {1: ring.raw_one()})
+    P = PPolynomial.identity(ring)
+    det = ring.raw_one()
+    for c in raws:
+        v = P.value_raw(c)
+        det = ring.raw_mul(det, v)
+        P = ppoly_apply(frobenius, P) - P.scale_raw(ring.raw_pow(v, ring.p - 1))
+    return P, det
+
+
+def moore_det(xs):
+    """Moore determinant of field (or Artin-ring) elements x_1,...,x_n.
+
+    Nonzero iff the arguments are F_p-linearly independent (over a field).
+    """
+    xs = list(xs)
+    if not xs:
+        raise ValueError("empty argument list")
+    first = xs[0]
+    ring = first.field if isinstance(first, FieldElem) else first.ring
+    raws = [x.idx if isinstance(x, FieldElem) else x.raw for x in xs]
+    det = ore_recursion(ring, raws)[1]
+    if ring_is_field(ring):
+        return FieldElem(ring, det)
+    return ArtinElem(ring, det)
 
 
 def additive_poly_from_character(ch, omit):
@@ -196,14 +176,7 @@ def additive_poly_from_character(ch, omit):
     if not 1 <= omit <= len(vals):
         raise ValueError("omit index out of range")
     del vals[omit - 1]
-    ring = ch.field
-    raws = [v.idx for v in vals]
-    delta = _det_raw(ring, _moore_matrix_raw(ring, raws))
-    dinv = ring.raw_inv(delta)
-    cofs = _bordered_additive_poly(ring, raws)
-    return PPolynomial(ring, tuple((nu, ring.raw_mul(c, dinv))
-                                   for nu, c in enumerate(cofs)
-                                   if not ring.raw_is_zero(c)))
+    return ore_recursion(ch.field, [v.idx for v in vals])[0]
 
 
 def moore_swap_identity_check(ch, i):

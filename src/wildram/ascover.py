@@ -2,7 +2,10 @@
 to a character, their class reduction, conductors and deformations.
 
 The symbolic model expresses u as an additive polynomial in a function f
-with sigma_i(f) = f + c(sigma_i); the germ model substitutes f = t^{-m}.
+with sigma_i(f) = f + c(sigma_i): u = u1^{p^s} - u1 with u1 = sum_i mu_i y_i,
+where the normalized generators y_i shift by delta_ij under sigma_j; one
+path builds them over F_q and over F_q[eps]/eps^n.  The germ model
+substitutes f = t^{-m}.
 Cover classes live in the quotient of Laurent series by holomorphic parts
 and the image of D: x -> x^{p^s} - x, up to the scaling action of F_{p^s}^*.
 """
@@ -14,10 +17,9 @@ from math import comb
 
 from .addpoly import (
     PPolynomial,
-    _det_raw,
-    _moore_matrix_raw,
-    additive_poly_from_character,
+    frobenius_minus_identity,
     moore_det,
+    ore_recursion,
     ppoly_apply,
 )
 from .autoreps import build_rho
@@ -102,29 +104,31 @@ def default_mu(field, s):
     raise DependentMu("field does not contain an F_p-basis of F_{p^s}")
 
 
-def _bordered_u1_cofactors(ring, mu_raws, col_raws):
-    """Cofactors of the zero last column of the matrix with top row
-    (mu_1, ..., mu_s, 0) and Moore rows of col_raws below; entry nu of the
-    result multiplies the f^{p^{nu}} slot."""
-    s = len(col_raws)
-    moore = _moore_matrix_raw(ring, col_raws)
-    cofs = []
-    for i in range(1, s + 1):
-        minor = [list(mu_raws)] + [moore[r] for r in range(s) if r != i - 1]
-        d = _det_raw(ring, minor)
-        # cofactor sign times the global (-1)^{s+1} making u1(c_j) = mu_j
-        if i % 2 == 0:
-            d = ring.raw_neg(d)
-        cofs.append(d)
-    return cofs
+def _generators(ring, raws):
+    """y_i with y_i(c_j) = delta_ij over a field or an Artin ring: the
+    kernel polynomial of the other values divided by its value at c_i."""
+    out = []
+    for i, c in enumerate(raws):
+        ker = ore_recursion(ring, raws[:i] + raws[i + 1:])[0]
+        out.append(ker.scale_raw(ring.raw_inv(ker.value_raw(c))))
+    return out
+
+
+def _u1(ring, mu_raws, raws):
+    """u1 = sum_i mu_i y_i: the only additive polynomial of p-degree < s
+    with u1(c_i) = mu_i, since the Moore determinant of the c_i is a unit."""
+    u1 = PPolynomial.zero(ring)
+    for mu, y in zip(mu_raws, _generators(ring, raws)):
+        u1 = u1 + y.scale_raw(mu)
+    return u1
 
 
 def build_u(ch, mu=None):
     """The normalized right-hand side u with y^{p^s} - y = u.
 
-    u1(f) = sum_nu o_nu f^{p^nu} comes from the bordered Moore determinant of
-    the character values against mu, divided by the plain Moore determinant;
-    u = u1^{p^s} - u1, whose coefficients satisfy a_{nu+s} = -a_nu^{p^s}."""
+    u1(f) = sum_nu o_nu f^{p^nu} = sum_i mu_i y_i(f) shifts by mu_i under
+    sigma_i; u = D o u1 = u1^{p^s} - u1, whose coefficients satisfy
+    a_{nu+s} = -a_nu^{p^s}."""
     field = ch.field
     s = ch.s
     if mu is None:
@@ -132,19 +136,10 @@ def build_u(ch, mu=None):
     mu = [v if isinstance(v, FieldElem) else field.elem(v) for v in mu]
     if len(mu) != s or not moore_det(mu):
         raise DependentMu("mu must be an F_p-basis of F_{p^s}")
-    delta = moore_det(list(ch.vals))
-    dinv = field.raw_inv(delta.idx)
-    cofs = _bordered_u1_cofactors(field, [v.idx for v in mu],
-                                  [c.idx for c in ch.vals])
-    o = [FieldElem(field, field.raw_mul(c, dinv)) for c in cofs]
-    u1 = PPolynomial.make(field, {nu: o[nu] for nu in range(s)})
+    u1 = _u1(field, [v.idx for v in mu], [c.idx for c in ch.vals])
+    o = [FieldElem(field, u1.coeff(nu)) for nu in range(s)]
+    u = ppoly_apply(frobenius_minus_identity(field, s), u1)
     q = field.p ** s
-    terms = {}
-    for nu in range(s):
-        if o[nu]:
-            terms[nu] = -o[nu]
-            terms[nu + s] = o[nu] ** q
-    u = PPolynomial.make(field, terms)
     for nu in range(s):
         if u.coeff(nu + s) != field.raw_neg(field.raw_pow(u.coeff(nu), q)):
             raise NormalizationBroken("u breaks a_{nu+s} = -a_nu^{p^s} at nu = %d" % nu)
@@ -157,13 +152,9 @@ def normalized_generators(ch):
     The shift check evaluates y_i on every c(sigma_j) through additivity."""
     field = ch.field
     out = []
-    for i in range(1, ch.s + 1):
-        ad = additive_poly_from_character(ch, omit=i)
-        norm = ppoly_apply(ad, ch.vals[i - 1])
-        yi = ad.scale_raw(field.raw_inv(norm.idx))
-        shifts = tuple(ppoly_apply(yi, ch.vals[j - 1]) ==
-                       (field.one() if j == i else field.zero())
-                       for j in range(1, ch.s + 1))
+    for i, yi in enumerate(_generators(field, [c.idx for c in ch.vals])):
+        shifts = tuple(ppoly_apply(yi, c) == (field.one() if j == i else field.zero())
+                       for j, c in enumerate(ch.vals))
         out.append({"yi": yi, "shift_check": shifts})
     return out
 
@@ -330,16 +321,9 @@ def deformed_u(ch, mu, Cvals, ftilde):
     if mu is None:
         mu = default_mu(field, s)
     mu = [v if isinstance(v, FieldElem) else field.elem(v) for v in mu]
-    mu_A = [(v.idx,) + (0,) * (A.n - 1) for v in mu]
-    C_raws = [Cv.raw for Cv in Cvals]
-    delta = _det_raw(A, _moore_matrix_raw(A, C_raws))
-    dinv = A.raw_inv(delta)
-    O = [A.raw_mul(c, dinv)
-         for c in _bordered_u1_cofactors(A, mu_A, C_raws)]
-    U1 = LaurentSeries.zero(A)
-    for nu in range(s):
-        if not A.raw_is_zero(O[nu]):
-            U1 = U1 + ftilde.frobenius_power(nu).scale(O[nu])
+    U1poly = _u1(A, [(v.idx,) + (0,) * (A.n - 1) for v in mu],
+                 [Cv.raw for Cv in Cvals])
+    U1 = ppoly_apply(U1poly, ftilde)
     U = U1.frobenius_power(s) - U1
 
     u_red = ppoly_apply(build_u(ch, mu)["u"], ftilde.residue())
@@ -347,7 +331,7 @@ def deformed_u(ch, mu, Cvals, ftilde):
         raise NormalizationBroken("U does not reduce to u")
 
     gdist, _unit = weierstrass_prepare(invert_unit_series(ftilde))
-    return {"U": U, "U1": U1, "O": O,
+    return {"U": U, "U1": U1, "O": [U1poly.coeff(nu) for nu in range(s)],
             "splits_branch": not _is_pure_power(gdist),
             "distinguished": gdist}
 

@@ -8,6 +8,7 @@ ramification bookkeeping.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -32,6 +33,9 @@ class Character:
     s: int
     vals: tuple  # c(sigma_1), ..., c(sigma_s)
     m: int
+    # build_rho's memo, keyed (g.exps, prec); outside equality and hash
+    rho_memo: dict = dataclasses.field(default_factory=dict, init=False,
+                                       compare=False, repr=False)
 
     def __post_init__(self):
         p = self.field.p
@@ -128,18 +132,15 @@ def binom_mod_p(num, den, k, p):
     return out
 
 
-_rho_cache = {}
-
-
 def build_rho(ch, g, prec=None):
     """rho_g(t) = t (1 + c(g) t^m)^{-1/m}, the closed binomial series
     sum_k binom(-1/m, k) c(g)^k t^{1+km} truncated at the requested
-    precision."""
+    precision, built once per character, element and precision."""
     if prec is None:
         prec = default_precision(ch.p, ch.m)
-    key = (ch, g.exps, prec)
-    if key in _rho_cache:
-        return _rho_cache[key]
+    key = (g.exps, prec)
+    if key in ch.rho_memo:
+        return ch.rho_memo[key]
     field = ch.field
     p, m = ch.p, ch.m
     c = character_value(ch, g).idx
@@ -150,7 +151,7 @@ def build_rho(ch, g, prec=None):
             field.raw_from_int(binom_mod_p(-1, m, k, p)), ck)
         ck = field.raw_mul(ck, c)
     rho = LaurentSeries(field, coeffs, prec)
-    _rho_cache[key] = rho
+    ch.rho_memo[key] = rho
     return rho
 
 

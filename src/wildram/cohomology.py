@@ -180,16 +180,6 @@ def component_action_matrix(ch, g, r, L):
     return _action(ch, g, range(r - m - 1, r + L * m - m - 1, m))
 
 
-def _norm_matrix(field, A, p):
-    n = len(A)
-    norm = linalg.identity(n)
-    acc = linalg.identity(n)
-    for _ in range(p - 1):
-        acc = linalg.mat_mul(field, acc, A)
-        norm = linalg.mat_add(field, norm, acc)
-    return norm
-
-
 def _multi_indices(s, n):
     """The a in N^s with |a| = n, in decreasing lexicographic order."""
     if s == 1:
@@ -207,15 +197,18 @@ def _complex(field, mats, p, top):
     decreasing lexicographic order, so the blocks of C^1 are the values on
     sigma_1, ..., sigma_s.  The block of d^n from a - e_j to b is
     (-1)^(b_1 + ... + b_{j-1}) times sigma_j - 1 when b_j is odd and
-    N_j = 1 + sigma_j + ... + sigma_j^{p-1} when b_j is even.  Z^1 is then
-    cut out by the norm and pairwise conditions and B^1 = ((sigma_j - 1) n)_j.
+    N_j = 1 + sigma_j + ... + sigma_j^{p-1} = (sigma_j - 1)^{p-1} (in
+    characteristic p) when b_j is even.  Z^1 is then cut out by the norm
+    and pairwise conditions and B^1 = ((sigma_j - 1) n)_j.
     """
     add, neg = field.tables()[0], field.tables()[2]
     s, n = len(mats), len(mats[0])
     minus_one = neg[1]
     minus = [[[add[x][minus_one] if i == k else x for k, x in enumerate(row)]
               for i, row in enumerate(A)] for A in mats]
-    norms = [_norm_matrix(field, A, p) for A in mats] if top >= 1 else None
+    norms = minus
+    for _ in range(p - 2 if top >= 1 else 0):
+        norms = [linalg.mat_mul(field, N, X) for N, X in zip(norms, minus)]
     out = []
     src = {(0,) * s: 0}
     for deg in range(top + 1):

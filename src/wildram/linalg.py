@@ -116,12 +116,3 @@ def mat_vec(field, a, v):
                 acc = add[acc][mul[x][y]]
         out.append(acc)
     return out
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_add(field, a, b):
-    add = field.tables()[0]
-    return [[add[x][y] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

@@ -37,6 +37,31 @@ def small_grid():
     return pts
 
 
+# Cover points of the ascover and addpoly tests.
+COVER_GRID = [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2),
+              (2, 2, 5), (3, 2, 4), (5, 2, 2)]
+
+
+def laplace_det(ring, mat):
+    """Oracle: Laplace-expansion determinant over any coefficient ring, on
+    raw elements (n <= 5)."""
+    n = len(mat)
+    if n == 0:
+        return ring.raw_one()
+    acc = ring.raw_zero()
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = ring.raw_mul(mat[0][j], laplace_det(ring, minor))
+        acc = ring.raw_add(acc, term) if j % 2 == 0 else ring.raw_sub(acc, term)
+    return acc
+
+
+def moore_rows(ring, raws, n=None):
+    """The first n (default len(raws)) rows x_j^{p^i} of the Moore matrix."""
+    n = len(raws) if n is None else n
+    return [[ring.raw_pow(x, ring.p ** i) for x in raws] for i in range(n)]
+
+
 @pytest.fixture(scope="session")
 def f2():
     return make_field(2)

@@ -1,6 +1,8 @@
 """Artin-Schreier cover models: normalization, reduction, conductors,
 the quotient-germ expansion and deformed covers."""
 
+import random
+
 import pytest
 
 from wildram.addpoly import ppoly_apply
@@ -19,12 +21,10 @@ from wildram.ascover import (
     subfield_elements,
 )
 from wildram.coeffring import make_artin_algebra, make_field
-from wildram.series import INF, LaurentSeries, invert_unit_series
+from wildram.series import INF, LaurentSeries, ReductionIsZero, invert_unit_series
 
-from conftest import character_for
+from conftest import COVER_GRID, character_for, laplace_det, moore_rows
 
-COVER_GRID = [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2),
-              (2, 2, 5), (3, 2, 4), (5, 2, 2)]
 
 
 def test_subfield_elements_counts():
@@ -179,3 +179,94 @@ def test_deformed_u_rejects_wrong_reduction():
     wrong = [A.include(ch.vals[0]) + A.one()]
     with pytest.raises(ReductionMismatch):
         deformed_u(ch, None, wrong, _dual_ftilde(ch, [0, 0]))
+
+
+ORACLE_GRID = COVER_GRID + [(2, 3, 3), (3, 3, 2)]
+
+
+def bordered_u1(ring, mu_raws, raws):
+    """Oracle: o_nu, the cofactors of the zero last column of the matrix
+    with top row (mu_1, ..., mu_s, 0) and the Moore rows of the values
+    below, with the sign making u1(c_j) = mu_j, over their Moore
+    determinant."""
+    s = len(raws)
+    moore = moore_rows(ring, raws)
+    dinv = ring.raw_inv(laplace_det(ring, moore))
+    out = []
+    for i in range(1, s + 1):
+        d = laplace_det(ring, [list(mu_raws)] + moore[:i - 1] + moore[i:])
+        out.append(ring.raw_mul(ring.raw_neg(d) if i % 2 == 0 else d, dinv))
+    return out
+
+
+def oracle_mus(ch):
+    """The default basis of F_{p^s} and its reversal."""
+    mu = build_u(ch)["mu"]
+    return [mu, mu[::-1]]
+
+
+@pytest.mark.parametrize("p,s,m", ORACLE_GRID)
+def test_build_u_matches_the_bordered_oracle(p, s, m):
+    """u1 = sum_i mu_i y_i has the bordered-cofactor coefficients o_nu, and
+    u has a_nu = -o_nu and a_{nu+s} = o_nu^{p^s}."""
+    ch = character_for(p, s, m)
+    field = ch.field
+    for mu in oracle_mus(ch):
+        o = bordered_u1(field, [v.idx for v in mu], [c.idx for c in ch.vals])
+        data = build_u(ch, mu)
+        assert [x.idx for x in data["o"]] == o
+        assert data["u1"].coeffs == tuple((nu, c) for nu, c in enumerate(o) if c)
+        terms = {nu: field.raw_neg(c) for nu, c in enumerate(o) if c}
+        terms.update({nu + s: field.raw_pow(c, p ** s) for nu, c in enumerate(o) if c})
+        assert data["u"].coeffs == tuple(sorted(terms.items()))
+
+
+def top_order_ftilde(ch, A, rng):
+    """1/(t^m + eps^{n-1} sum_{mu<m} b_mu t^mu) with seeded b_mu in F_q."""
+    terms = {ch.m: A.one()}
+    for mu in range(ch.m):
+        terms[mu] = A.from_raw((0,) * (A.n - 1) + (rng.randrange(ch.field.q),))
+    return invert_unit_series(LaurentSeries.make(A, terms, 8 * (ch.m + 2)))
+
+
+@pytest.mark.parametrize("p,s,m", ORACLE_GRID)
+@pytest.mark.parametrize("n", [2, 3])
+def test_deformed_u_matches_the_bordered_oracle(p, s, m, n):
+    """Over eps^2 and eps^3 with seeded deformed values C_j: the
+    coefficients of U1 are the bordered-cofactor ones, U1(C_j) = mu_j in A,
+    and U reduces to u(ftilde mod eps).  The divisor moves at the top order
+    eps^{n-1} only; the next test shows why."""
+    ch = character_for(p, s, m)
+    A = make_artin_algebra(ch.field, n)
+    rng = random.Random(1000 * p + 100 * s + 10 * m + n)
+    q = ch.field.q
+    Cvals = [A.from_raw((c.idx,) + tuple(rng.randrange(q) for _ in range(n - 1)))
+             for c in ch.vals]
+    ftilde = top_order_ftilde(ch, A, rng)
+    for mu in oracle_mus(ch):
+        mu_A = [A.include(v) for v in mu]
+        out = deformed_u(ch, mu, Cvals, ftilde)
+        assert out["O"] == bordered_u1(A, [v.raw for v in mu_A],
+                                       [C.raw for C in Cvals])
+        for C, v in zip(Cvals, mu_A):
+            value = A.raw_zero()
+            for nu, o in enumerate(out["O"]):
+                value = A.raw_add(value, A.raw_mul(o, A.raw_pow(C.raw, p ** nu)))
+            assert value == v.raw
+        assert out["U"].residue().eq_to_prec(
+            ppoly_apply(build_u(ch, mu)["u"], ftilde.residue()))
+
+
+@pytest.mark.xfail(raises=ReductionIsZero, strict=True,
+                   reason="one precision per series: 1/ftilde, whose lowest "
+                          "term eps^2 t^(-3m) is nilpotent, inverts to O(t^4)")
+def test_deformed_u_with_a_nilpotent_t0_term_over_eps3():
+    """Known defect: over eps^3, an eps part in a low term of
+    t^m + eps a_mu t^mu makes the branch-splitting flag's inversion lose
+    the whole series, so deformed_u raises before it returns U.  Seen at
+    mu = 0 on the cover grid and at mu = 1 for (2, 2, 5)."""
+    ch = character_for(2, 2, 3)
+    A = make_artin_algebra(ch.field, 3)
+    ftilde = invert_unit_series(LaurentSeries.make(
+        A, {3: A.one(), 0: A.eps()}, 8 * (ch.m + 2)))
+    deformed_u(ch, None, [A.include(c) for c in ch.vals], ftilde)

@@ -157,7 +157,6 @@ def test_group_law_product_count(monkeypatch):
     each power of an inner computed once for all the outers composed with
     it.  Rebuilding every power for each pair took 16 358."""
     ch = character_for(5, 2, 3)
-    monkeypatch.setattr(autoreps, "_rho_cache", {})
     calls = []
     mul = LaurentSeries.__mul__
 

@@ -86,18 +86,17 @@ def test_run_parallel_matches_serial():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_run_parallel_with_every_task_matches_serial(monkeypatch):
-    """At (3,2,2) with every task, run in the executor's default pool from a
-    fresh rho cache: the rho task fills the tables of powers of the cached
-    rho while the deform task builds rho through the same cache and composes
-    over the dual numbers in another thread."""
+def test_run_parallel_with_every_task_matches_serial():
+    """At (3,2,2) with every task, run in the executor's default pool; each
+    run parses a fresh character, so its rho memo starts empty.  The rho
+    task fills the tables of powers of the memoized rho while the deform
+    task builds rho through the same memo and composes over the dual
+    numbers in another thread."""
     cfg = sample_config(field={"p": 3, "d": 2},
                         character={"s": 2, "m": 2, "vals": [[1, 0], [0, 1]]},
                         tasks=["rho", "cohomology", "ascover", "deform",
                                "predicates"])
-    monkeypatch.setattr(autoreps, "_rho_cache", {})
     serial = json.dumps(strip_timing(run(cfg)), sort_keys=True)
-    monkeypatch.setattr(autoreps, "_rho_cache", {})
     threaded = json.dumps(strip_timing(run(cfg, parallel=True)), sort_keys=True)
     assert threaded == serial
 
@@ -107,6 +106,34 @@ def test_report_is_json_serializable_and_deterministic():
     r1 = json.dumps(strip_timing(run(cfg)), sort_keys=True)
     r2 = json.dumps(strip_timing(run(cfg)), sort_keys=True)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("field,character", [
+    ({"p": 3, "d": 1}, {"s": 1, "m": 2, "vals": [[1]]}),
+    ({"p": 2, "d": 2}, {"s": 2, "m": 3, "vals": [[1, 0], [0, 1]]}),
+])
+def test_ascover_report_survives_a_json_round_trip(field, character):
+    """u and u1 serialize to lists, so the report equals its own JSON
+    round trip and no reader sees a tuple turn into a list."""
+    report = run(sample_config(field=field, character=character,
+                               tasks=["ascover"]))
+    assert report["tasks"][0]["ok"]
+    assert json.loads(json.dumps(report)) == report
+
+
+def test_deform_above_the_h2_limit_reports_the_samples():
+    """At p^s = 125 there is no H^2 engine: the deform entry keeps its five
+    extractions and leaves out the two obstruction fields."""
+    report = run(sample_config(
+        field={"p": 5, "d": 3},
+        character={"s": 3, "m": 3, "vals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        tasks=["deform"]))
+    entry = report["tasks"][0]
+    assert "error" not in entry
+    res = entry["results"]
+    assert res["formula_matches"] == res["samples"] == 5
+    assert "obstruction_zero" not in res and "obstruction_coboundary" not in res
+    assert entry["ok"] and res["ok"]
 
 
 def test_golden_roundtrip(tmp_path):

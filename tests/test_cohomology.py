@@ -12,6 +12,7 @@ from wildram.cohomology import (
     OneCochain,
     PolePartClass,
     _complex,
+    _multi_indices,
     action_matrix,
     classes_equal,
     component_action_matrix,
@@ -313,6 +314,40 @@ def test_complex_squares_to_zero(p, s, m):
         d0, d1, d2 = _complex(field, mats, p, 2)
         for a, b in ((d1, d0), (d2, d1)):
             assert not any(any(row) for row in linalg.mat_mul(field, a, b))
+
+
+def power_sum_norm(field, A, p):
+    """1 + A + ... + A^{p-1}, summed power by power."""
+    add = field.tables()[0]
+    n = len(A)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    norm = power
+    for _ in range(p - 1):
+        power = linalg.mat_mul(field, power, A)
+        norm = [[add[x][y] for x, y in zip(rn, rp)] for rn, rp in zip(norm, power)]
+    return norm
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_norm_blocks_are_power_sums(p, s, m):
+    """The blocks N_j of d^1 from e_j to 2 e_j, which _complex builds as
+    (sigma_j - 1)^{p-1}, equal 1 + sigma_j + ... + sigma_j^{p-1}, on M and
+    on each graded component."""
+    ch = character_for(p, s, m)
+    field = ch.field
+    gens = [ch.generator(i) for i in range(1, s + 1)]
+    L = component_depth(p)
+    modules = [[action_matrix(ch, g) for g in gens]]
+    modules += [[component_action_matrix(ch, g, r, L) for g in gens]
+                for r in range(m)]
+    for mats in modules:
+        n = len(mats[0])
+        d1 = _complex(field, mats, p, 1)[1]
+        for j in range(s):
+            row = _multi_indices(s, 2).index(tuple(2 * (k == j) for k in range(s)))
+            col = _multi_indices(s, 1).index(tuple(int(k == j) for k in range(s)))
+            block = [r[col * n:(col + 1) * n] for r in d1[row * n:(row + 1) * n]]
+            assert block == power_sum_norm(field, mats[j], p)
 
 
 @pytest.mark.parametrize("p,s,m", [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2)])

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
-parameter of a library function is read by its body, and no library module
-checks an invariant with ``assert``, which ``python -O`` strips, or with a
-hand-raised ``AssertionError``, which names no invariant.
+parameter of a library function is read by its body, every private
+module-level function is called from somewhere else in the library, and no
+library module checks an invariant with ``assert``, which ``python -O``
+strips, or with a hand-raised ``AssertionError``, which names no invariant.
 
 The import scan skips the package's ``__init__.py``, since its imports are
 the public re-exports, and ``from __future__``.
@@ -86,6 +87,55 @@ def test_parameter_scanner_flags_only_unread_parameters():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_unread_parameters(module):
     assert unread_parameters((SRC / module).read_text()) == []
+
+
+def dead_private_functions(sources):
+    """(module, line, name) for each module-level function named with one
+    leading underscore that no code of the given modules refers to, by name
+    or as an attribute, outside the function's own body."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    out = []
+    for mod, tree in trees.items():
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                continue
+            own = {id(n) for n in ast.walk(fn)}
+            if not any(id(n) not in own and fn.name in (getattr(n, "id", None),
+                                                        getattr(n, "attr", None))
+                       for t in trees.values() for n in ast.walk(t)):
+                out.append((mod, fn.lineno, fn.name))
+    return sorted(out)
+
+
+def test_dead_function_scanner_flags_only_unreferenced_helpers():
+    sources = {
+        "a": ("def _used(x):\n"
+              "    return x\n"
+              "def _recursive(n):\n"
+              "    return _recursive(n - 1) if n else 0\n"
+              "def _dead():\n"
+              "    return 1\n"
+              "def _by_attribute():\n"
+              "    return 2\n"
+              "def __dunder__():\n"
+              "    return 3\n"
+              "def public():\n"
+              "    return _used(1)\n"
+              "class K:\n"
+              "    def _method(self):\n"
+              "        return 4\n"),
+        "b": ("import a\n"
+              "def run():\n"
+              "    return a._by_attribute()\n"),
+    }
+    assert dead_private_functions(sources) == [("a", 3, "_recursive"),
+                                               ("a", 5, "_dead")]
+
+
+def test_no_dead_private_functions():
+    sources = {mod: (SRC / mod).read_text() for mod in ALL_MODULES}
+    assert dead_private_functions(sources) == []
 
 
 def _raises_assertion_error(node):
