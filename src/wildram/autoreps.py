@@ -114,28 +114,29 @@ def character_value(ch, g):
     return acc
 
 
-def binom_mod_p(num, den, k, p):
-    """binom(num/den, k) reduced mod p, for den prime to p.
+def binom_row_mod_p(num, den, n, p):
+    """[binom(num/den, k) mod p for k < n], for den prime to p.
 
-    num/den is a p-adic integer x.  By Lucas's theorem binom(x, k) mod p
-    is the product of binom(x_i, k_i) over the base-p digits of x and k,
-    so only x mod p^L matters, where p^L > k."""
+    By Lucas's theorem the row for k < p^L is the Kronecker product of the
+    digit rows [binom(x_i, 0..p-1) mod p] of x = num/den mod p^L, lowest
+    digit innermost, so one modular inverse and L short rows give it."""
     mod = p
-    while mod <= k:
+    while mod < n:
         mod *= p
     x = num * pow(den, -1, mod) % mod
-    out = 1
-    while k:
-        k, ki = divmod(k, p)
+    row = [1]
+    while len(row) < n:
         x, xi = divmod(x, p)
-        out = out * comb(xi, ki) % p
-    return out
+        digit = [comb(xi, k) % p for k in range(p)]
+        row = [b * a % p for b in digit for a in row]
+    return row[:n]
 
 
 def build_rho(ch, g, prec=None):
     """rho_g(t) = t (1 + c(g) t^m)^{-1/m}, the closed binomial series
     sum_k binom(-1/m, k) c(g)^k t^{1+km} truncated at the requested
-    precision, built once per character, element and precision."""
+    precision, its binomials one Lucas row, built once per character,
+    element and precision."""
     if prec is None:
         prec = default_precision(ch.p, ch.m)
     key = (g.exps, prec)
@@ -146,9 +147,9 @@ def build_rho(ch, g, prec=None):
     c = character_value(ch, g).idx
     coeffs = {}
     ck = field.raw_one()
-    for k in range((prec - 2) // m + 1):  # the exponents 1 + km below prec
-        coeffs[1 + k * m] = field.raw_mul(
-            field.raw_from_int(binom_mod_p(-1, m, k, p)), ck)
+    # the exponents 1 + km below prec
+    for k, b in enumerate(binom_row_mod_p(-1, m, (prec - 2) // m + 1, p)):
+        coeffs[1 + k * m] = field.raw_mul(field.raw_from_int(b), ck)
         ck = field.raw_mul(ck, c)
     rho = LaurentSeries(field, coeffs, prec)
     ch.rho_memo[key] = rho

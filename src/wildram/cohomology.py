@@ -8,7 +8,8 @@ sigma acts by the one binomial formula
     t^e -> t^e (1 + c(sigma) t^m)^{-e/m},
 
 and every action matrix, on M and on the graded components of the tangent
-module T, is a slice of it.  H^1 and H^2 are computed by exact linear
+module T, is a slice of it, built with the norm 1 + sigma + ... +
+sigma^{p-1} in one pass.  H^1 and H^2 are computed by exact linear
 algebra over k in one generator complex Hom_V(P, -), where P is the tensor
 product of the periodic resolutions of the s cyclic factors.  On T,
 `h1_brute_force` reads the dimension of H^1 and a basis of class
@@ -28,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .autoreps import (Character, binom_mod_p, character_value, group_mul,
-                       group_pow, peeled)
+from .autoreps import (Character, binom_row_mod_p, character_value,
+                       group_mul, group_pow, peeled)
 from .coeffring import FieldElem
 from .series import pole_part
 
@@ -113,31 +114,37 @@ class OneCochain:
 # -- the module action --------------------------------------------------------
 
 def _action(ch, g, exps):
-    """Matrix of g acting by t^e -> t^e (1 + c(g) t^m)^{-e/m} on the span of
-    the t^e, e in exps: entry (i, j) is the coefficient of t^{exps[i]} in
-    the image of t^{exps[j]}, namely binom(-e/m, k) c(g)^k when
-    exps[i] = e + km with e = exps[j] and k >= 0.  Images only move up in
-    exponent and terms outside exps are dropped, so the slice on -1..-(m+1)
-    is the action on M = t^{-(m+1)} k[[t]] / k[[t]], and a component cut at
-    level L is its quotient by the levels >= L."""
-    field = ch.field
+    """Matrices of g and of its norm N = 1 + g + ... + g^{p-1} acting by
+    t^e -> t^e (1 + c(g) t^m)^{-e/m} on the span of the t^e, e in exps,
+    built in one pass.  Entry (i, j) of g is the coefficient of t^{exps[i]}
+    in the image of t^{exps[j]}, namely binom(-e/m, d) c(g)^d when
+    exps[i] = e + dm with e = exps[j] and d >= 0; the binomials of a column
+    are one Lucas row.  Since c(g^k) = k c(g), the entry of g^k is k^d
+    times that of g, and sum_{k in F_p} k^d is -1 when d > 0 and p - 1
+    divides d, and 0 otherwise: N is -g on those entries and 0 elsewhere.
+    Images only move up in exponent and terms outside exps are dropped, so
+    the slice on -1..-(m+1) is the action on M = t^{-(m+1)} k[[t]] / k[[t]],
+    and a component cut at level L is its quotient by the levels >= L."""
     p, m = ch.p, ch.m
+    tables = ch.field.tables()
+    mul, neg = tables[1], tables[2]
     c = character_value(ch, g).idx
     pos = {e: i for i, e in enumerate(exps)}
     top = max(exps)
     n = len(exps)
-    cpow = [field.raw_one()]
+    cpow = [1]
     for _ in range((top - min(exps)) // m):
-        cpow.append(field.raw_mul(cpow[-1], c))
+        cpow.append(mul[cpow[-1]][c])
     mat = [[0] * n for _ in range(n)]
+    norm = [[0] * n for _ in range(n)]
     for j, e in enumerate(exps):
-        for k in range((top - e) // m + 1):
-            i = pos.get(e + k * m)
-            if i is not None:
-                b = binom_mod_p(-e, m, k, p)
-                if b:
-                    mat[i][j] = field.raw_mul(field.raw_from_int(b), cpow[k])
-    return mat
+        for d, b in enumerate(binom_row_mod_p(-e, m, (top - e) // m + 1, p)):
+            i = pos.get(e + d * m)
+            if b and i is not None:
+                mat[i][j] = x = mul[b][cpow[d]]
+                if d and d % (p - 1) == 0:
+                    norm[i][j] = neg[x]
+    return mat, norm
 
 
 def module_action(ch, g, x):
@@ -147,9 +154,20 @@ def module_action(ch, g, x):
     return PolePartClass.from_vector(ch, vec)
 
 
+def _pole_exponents(m):
+    """The basis t^{-1}, ..., t^{-(m+1)} of M."""
+    return range(-1, -m - 2, -1)
+
+
 def action_matrix(ch, g):
     """Matrix of the action of g on M in the basis t^{-1}, ..., t^{-(m+1)}."""
-    return _action(ch, g, range(-1, -ch.m - 2, -1))
+    return _action(ch, g, _pole_exponents(ch.m))[0]
+
+
+def _generator_actions(ch):
+    """The generators' (matrix, norm) pairs on M, for _complex."""
+    return [_action(ch, ch.generator(i), _pole_exponents(ch.m))
+            for i in range(1, ch.s + 1)]
 
 
 # -- brute-force H^1 ----------------------------------------------------------
@@ -173,9 +191,10 @@ def component_window(p):
 
 
 def component_action_matrix(ch, g, r, L):
-    """Action of g on the degree-(r mod m) component, levels l = 0..L-1
-    standing for the basis vector fields t^{r+lm} d/dt, that is the pole
-    exponents r + lm - m - 1."""
+    """Matrices of g and of its norm 1 + g + ... + g^{p-1} on the
+    degree-(r mod m) component, levels l = 0..L-1 standing for the basis
+    vector fields t^{r+lm} d/dt, that is the pole exponents r + lm - m - 1.
+    The level gap of entry (i, j) is i - j."""
     m = ch.m
     return _action(ch, g, range(r - m - 1, r + L * m - m - 1, m))
 
@@ -188,27 +207,27 @@ def _multi_indices(s, n):
             for rest in _multi_indices(s - 1, n - a)]
 
 
-def _complex(field, mats, p, top):
+def _complex(field, gens, top):
     """Differentials d^0, ..., d^top of Hom_V(P, M), as row matrices.
 
     P is the tensor product of the periodic resolutions of the cyclic
-    factors <sigma_j>, and mats are the generators' action matrices on M.
-    C^n has one block of size dim M for each a in N^s with |a| = n, in
-    decreasing lexicographic order, so the blocks of C^1 are the values on
-    sigma_1, ..., sigma_s.  The block of d^n from a - e_j to b is
-    (-1)^(b_1 + ... + b_{j-1}) times sigma_j - 1 when b_j is odd and
-    N_j = 1 + sigma_j + ... + sigma_j^{p-1} = (sigma_j - 1)^{p-1} (in
-    characteristic p) when b_j is even.  Z^1 is then cut out by the norm
-    and pairwise conditions and B^1 = ((sigma_j - 1) n)_j.
+    factors <sigma_j>, and gens are the generators' (matrix, norm) pairs on
+    M, as _action builds them.  C^n has one block of size dim M for each
+    a in N^s with |a| = n, in decreasing lexicographic order, so the blocks
+    of C^1 are the values on sigma_1, ..., sigma_s.  The block of d^n from
+    a - e_j to b is (-1)^(b_1 + ... + b_{j-1}) times sigma_j - 1 when b_j
+    is odd and N_j = 1 + sigma_j + ... + sigma_j^{p-1} when b_j is even.
+    Z^1 is then cut out by the norm and pairwise conditions and
+    B^1 = ((sigma_j - 1) n)_j.
     """
     add, neg = field.tables()[0], field.tables()[2]
-    s, n = len(mats), len(mats[0])
+    s, n = len(gens), len(gens[0][0])
     minus_one = neg[1]
-    minus = [[[add[x][minus_one] if i == k else x for k, x in enumerate(row)]
-              for i, row in enumerate(A)] for A in mats]
-    norms = minus
-    for _ in range(p - 2 if top >= 1 else 0):
-        norms = [linalg.mat_mul(field, N, X) for N, X in zip(norms, minus)]
+    minus = [[list(row) for row in A] for A, _ in gens]
+    for X in minus:
+        for i, row in enumerate(X):
+            row[i] = add[row[i]][minus_one]
+    norms = [N for _, N in gens]
     out = []
     src = {(0,) * s: 0}
     for deg in range(top + 1):
@@ -232,10 +251,6 @@ def _complex(field, mats, p, top):
     return out
 
 
-def _generator_matrices(ch):
-    return [action_matrix(ch, ch.generator(i)) for i in range(1, ch.s + 1)]
-
-
 def _component_h1(ch, r):
     """Class representatives of one graded component, as window vectors
     (s blocks of the lowest component_window levels).  The windowed
@@ -247,9 +262,9 @@ def _component_h1(ch, r):
     p, s = ch.p, ch.s
     L = component_depth(p)
     W = component_window(p)
-    mats = [component_action_matrix(ch, ch.generator(i), r, L)
+    gens = [component_action_matrix(ch, ch.generator(i), r, L)
             for i in range(1, s + 1)]
-    d0, d1 = _complex(field, mats, p, 1)
+    d0, d1 = _complex(field, gens, 1)
 
     def window(v):
         return [x for i in range(s) for x in v[i * L:i * L + W]]
@@ -284,7 +299,7 @@ def h1_brute_force(ch):
 
 def is_cocycle(ch, cochain):
     """Check the 1-cocycle conditions for values given on the generators."""
-    d1 = _complex(ch.field, _generator_matrices(ch), ch.p, 1)[1]
+    d1 = _complex(ch.field, _generator_actions(ch), 1)[1]
     return not any(linalg.mat_vec(ch.field, d1, cochain.vector()))
 
 
@@ -297,7 +312,7 @@ def cocycle_class_vector(ch, cochain):
     if len(vec) != ch.s * (ch.m + 1):
         raise CochainLengthMismatch("expected %d coordinates, got %d"
                                     % (ch.s * (ch.m + 1), len(vec)))
-    d0 = _complex(ch.field, _generator_matrices(ch), ch.p, 0)[0]
+    d0 = _complex(ch.field, _generator_actions(ch), 0)[0]
     bred, bpivots = linalg.rref(ch.field, list(zip(*d0)))
     return linalg.reduce_against(ch.field, bred, bpivots, vec)
 
@@ -326,7 +341,8 @@ def h1_closed_formula(p, s, m):
 
 def admissible_exponents(p, m, lo, hi):
     """Exponents i in [lo, hi] with binom(i/m, p-1) = 0 in F_p."""
-    return [i for i in range(lo, hi + 1) if binom_mod_p(i, m, p - 1, p) == 0]
+    return [i for i in range(lo, hi + 1)
+            if binom_row_mod_p(i, m, p, p)[p - 1] == 0]
 
 
 def h1_basis_cyclic(ch):
@@ -393,7 +409,7 @@ class H2Engine:
             raise TooLarge("2-cochain space too large (p^s > 27)")
         self.ch = ch
         self._mats = {g.exps: action_matrix(ch, g) for g in ch.group()}
-        self._gens = [self._mats[ch.generator(i).exps] for i in range(1, ch.s + 1)]
+        self._gens = _generator_actions(ch)
 
     def _act(self, exps, x):
         return PolePartClass.from_vector(
@@ -429,7 +445,7 @@ class H2Engine:
                 for i in range(ch.p):
                     val = val + f(group_pow(ch, ch.generator(j + 1), i).exps, gens[j])
             target.extend(val.vector())
-        d1 = _complex(ch.field, self._gens, ch.p, 1)[1]
+        d1 = _complex(ch.field, self._gens, 1)[1]
         gamma = linalg.solve(ch.field, d1, target)
         if gamma is None:
             return False
@@ -445,12 +461,12 @@ class H2Engine:
 
     def z2_dimension(self):
         """dim Z^2 = dim C^2 - rank d^2 in the generator complex."""
-        d2 = _complex(self.ch.field, self._gens, self.ch.p, 2)[2]
+        d2 = _complex(self.ch.field, self._gens, 2)[2]
         return len(d2[0]) - linalg.rank(self.ch.field, d2)
 
     def h2_dimension(self):
         """dim Z^2 - dim B^2, with dim B^2 = rank d^1."""
-        d1 = _complex(self.ch.field, self._gens, self.ch.p, 1)[1]
+        d1 = _complex(self.ch.field, self._gens, 1)[1]
         return self.z2_dimension() - linalg.rank(self.ch.field, d1)
 
     def d1_of(self, beta_table):

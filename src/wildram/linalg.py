@@ -1,42 +1,55 @@
-"""Dense exact linear algebra over a finite field, on raw coefficient indices.
+"""Exact linear algebra over a finite field, on raw coefficient indices.
 
 Matrices are lists of row lists of field indices.  Everything is
 deterministic: elimination always picks the first nonzero entry in
-column order, so echelon bases are reproducible.
+column order, so echelon bases are reproducible.  An elimination step
+touches only the columns where the pivot row is nonzero.
 """
 
 from __future__ import annotations
 
 
+class VectorLengthMismatch(ValueError):
+    """A vector to reduce does not have the length of the basis rows."""
+
+
 def rref(field, rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    add, mul, neg, inv = (field.tables()[0], field.tables()[1],
-                          field.tables()[2], field.tables()[3])
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    At column c the rows not yet used as pivots vanish on the columns
+    before c, so the normalized pivot row is supported on columns >= c,
+    and the other rows are updated on that support only."""
+    tables = field.tables()
+    add, mul, neg, inv = tables[0], tables[1], tables[2], tables[3]
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    nrows, ncols = len(rows), len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
-        for i in range(r, len(rows)):
+        for i in range(r, nrows):
             if rows[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pinv = inv[rows[r][c]]
-        rows[r] = [mul[x][pinv] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = neg[rows[i][c]]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [add[ri[k]][mul[f][rr[k]]] for k in range(ncols)]
+        prow = rows[r]
+        scale = mul[inv[prow[c]]]
+        support = [(k, scale[prow[k]]) for k in range(c, ncols) if prow[k]]
+        for k, x in support:
+            prow[k] = x
+        for i in range(nrows):
+            row = rows[i]
+            if row[c] and i != r:
+                f = mul[neg[row[c]]]
+                for k, x in support:
+                    row[k] = add[row[k]][f[x]]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows[:r], pivots
 
@@ -53,7 +66,8 @@ def nullspace(field, rows, ncols=None):
         ncols = len(rows[0])
     red, pivots = rref(field, rows)
     neg = field.tables()[2]
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [0] * ncols
@@ -78,32 +92,22 @@ def solve(field, rows, rhs):
 
 
 def reduce_against(field, basis_rref, pivots, v):
-    """Reduce vector v modulo the row space given in rref form."""
-    add, mul, neg = field.tables()[0], field.tables()[1], field.tables()[2]
+    """Reduce vector v modulo the row space given in rref form.  A vector
+    whose length is not the rows' is refused, not reduced against
+    truncated rows."""
+    if basis_rref and len(v) != len(basis_rref[0]):
+        raise VectorLengthMismatch("expected %d coordinates, got %d"
+                                   % (len(basis_rref[0]), len(v)))
+    tables = field.tables()
+    add, mul, neg = tables[0], tables[1], tables[2]
     v = list(v)
     for row, pc in zip(basis_rref, pivots):
         if v[pc]:
-            f = neg[v[pc]]
-            v = [add[v[k]][mul[f][row[k]]] for k in range(len(v))]
+            f = mul[neg[v[pc]]]
+            for k in range(pc, len(v)):
+                if row[k]:
+                    v[k] = add[v[k]][f[row[k]]]
     return v
-
-
-def mat_mul(field, a, b):
-    add, mul = field.tables()[0], field.tables()[1]
-    n, k = len(a), len(b)
-    mcols = len(b[0]) if b else 0
-    out = [[0] * mcols for _ in range(n)]
-    for i in range(n):
-        ai, oi = a[i], out[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                mx = mul[x]
-                for j in range(mcols):
-                    if bt[j]:
-                        oi[j] = add[oi[j]][mx[bt[j]]]
-    return out
 
 
 def mat_vec(field, a, v):

@@ -1,5 +1,7 @@
 """Shared fixtures and grid helpers for the suite."""
 
+from math import comb
+
 import pytest
 
 from wildram.autoreps import make_character
@@ -62,6 +64,25 @@ def moore_rows(ring, raws, n=None):
     return [[ring.raw_pow(x, ring.p ** i) for x in raws] for i in range(n)]
 
 
+def binom_mod_p(num, den, k, p):
+    """Oracle: binom(num/den, k) reduced mod p, for den prime to p, one
+    entry at a time.
+
+    num/den is a p-adic integer x.  By Lucas's theorem binom(x, k) mod p
+    is the product of binom(x_i, k_i) over the base-p digits of x and k,
+    so only x mod p^L matters, where p^L > k."""
+    mod = p
+    while mod <= k:
+        mod *= p
+    x = num * pow(den, -1, mod) % mod
+    out = 1
+    while k:
+        k, ki = divmod(k, p)
+        x, xi = divmod(x, p)
+        out = out * comb(xi, ki) % p
+    return out
+
+
 @pytest.fixture(scope="session")
 def f2():
     return make_field(2)
@@ -85,3 +106,56 @@ def f4():
 @pytest.fixture(scope="session")
 def f9():
     return make_field(3, 2)
+
+
+def dense_rref(field, rows):
+    """Oracle: reduced row echelon form that rewrites every column of every
+    row at each pivot.  Returns (rows, pivot_columns)."""
+    add, mul, neg, inv = (field.tables()[0], field.tables()[1],
+                          field.tables()[2], field.tables()[3])
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pinv = inv[rows[r][c]]
+        rows[r] = [mul[x][pinv] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = neg[rows[i][c]]
+                ri, rr = rows[i], rows[r]
+                rows[i] = [add[ri[k]][mul[f][rr[k]]] for k in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def mat_mul(field, a, b):
+    """Oracle: the matrix product a b over the field."""
+    add, mul = field.tables()[0], field.tables()[1]
+    n, k = len(a), len(b)
+    mcols = len(b[0]) if b else 0
+    out = [[0] * mcols for _ in range(n)]
+    for i in range(n):
+        ai, oi = a[i], out[i]
+        for t in range(k):
+            x = ai[t]
+            if x:
+                bt = b[t]
+                mx = mul[x]
+                for j in range(mcols):
+                    if bt[j]:
+                        oi[j] = add[oi[j]][mx[bt[j]]]
+    return out

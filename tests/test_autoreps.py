@@ -7,7 +7,7 @@ import pytest
 from wildram import autoreps
 from wildram.autoreps import (
     InvalidCharacter,
-    binom_mod_p,
+    binom_row_mod_p,
     build_rho,
     character_value,
     default_precision,
@@ -21,7 +21,7 @@ from wildram.autoreps import (
 from wildram.coeffring import make_field
 from wildram.series import LaurentSeries, compose, invert_unit_series, revert
 
-from conftest import character_for, small_grid
+from conftest import binom_mod_p, character_for, small_grid
 
 F5 = make_field(5)
 
@@ -92,18 +92,38 @@ def test_closed_rho_matches_newton_constructions(p, s, m):
 
 
 def test_binom_mod_p_matches_fractions():
-    """binom(num/den, k) mod p against exact rational binomials, for every
-    den < 25 prime to p, |num| <= 60 and k < 90."""
+    """The entry-by-entry oracle binom_mod_p and the Lucas row against
+    exact rational binomials binom(num/den, k) mod p, for every den < 25
+    prime to p, |num| <= 60 and k < 90."""
     for den in range(1, 25):
         for num in range(-60, 61):
             x = Fraction(num, den)
+            want = {p: [] for p in (2, 3, 5, 7) if den % p}
             b = Fraction(1)
             for k in range(90):
-                for p in (2, 3, 5, 7):
-                    if den % p:
-                        want = b.numerator * pow(b.denominator, -1, p) % p
-                        assert binom_mod_p(num, den, k, p) == want, (num, den, k, p)
+                for p, row in want.items():
+                    row.append(b.numerator * pow(b.denominator, -1, p) % p)
+                    assert binom_mod_p(num, den, k, p) == row[k], (num, den, k, p)
                 b = b * (x - k) / (k + 1)
+            for p, row in want.items():
+                assert binom_row_mod_p(num, den, 90, p) == row, (num, den, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_binom_row_is_the_lucas_product(p):
+    """The Lucas row equals binom_mod_p entry by entry, for every k < p^L
+    with L up to 4 (up to 3 at p = 5), and for rows cut at any length, on
+    negative and positive numerators and denominators prime to p."""
+    top = 4 if p < 5 else 3
+    for den in (d for d in range(1, 14) if d % p):
+        for num in range(-2 * den - 7, 2 * den + 8):
+            for L in range(top + 1):
+                row = binom_row_mod_p(num, den, p ** L, p)
+                assert row == [binom_mod_p(num, den, k, p) for k in range(p ** L)], \
+                    (num, den, L)
+            for n in (0, 1, p + 1, 2 * p * p - 1):
+                assert binom_row_mod_p(num, den, n, p) == \
+                    [binom_mod_p(num, den, k, p) for k in range(n)]
 
 
 @pytest.mark.parametrize("p,s,m", small_grid())

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from wildram import linalg
+from wildram import cohomology, linalg
 from wildram.cohomology import (
     CochainLengthMismatch,
     H2Engine,
     OneCochain,
     PolePartClass,
     _complex,
+    _generator_actions,
     _multi_indices,
     action_matrix,
     classes_equal,
@@ -31,7 +32,7 @@ from wildram.cohomology import (
 from wildram.autoreps import build_rho, group_mul
 from wildram.series import LaurentSeries, invert_unit_series
 
-from conftest import character_for, small_grid
+from conftest import character_for, mat_mul, small_grid
 
 # Every small_grid() point whose bar complex is small enough to solve, and
 # one s = 3 point for the e_i + e_j + e_k blocks of the generator complex.
@@ -115,6 +116,47 @@ def test_h1_formula_matches_brute_force(p, s, m):
     assert h1_brute_force(ch)["dim"] == h1_closed_formula(p, s, m)
 
 
+# At s = 3 with p >= 3 the fitted component_depth and component_window are
+# too shallow: h1_brute_force gives 4, 6 and 18 against the formula's 5, 8
+# and 23.  Certifying the depth turns these into passes.
+SHALLOW_AT_S3 = pytest.mark.xfail(
+    strict=True, reason="component depth and window fitted at s <= 2")
+
+
+@pytest.mark.parametrize("p,s,m", [
+    pytest.param(3, 3, 2, marks=SHALLOW_AT_S3),
+    pytest.param(3, 3, 4, marks=SHALLOW_AT_S3),
+    pytest.param(5, 3, 9, marks=SHALLOW_AT_S3),
+    (2, 3, 3), (2, 3, 5), (2, 3, 7)])
+def test_h1_formula_matches_brute_force_at_s3(p, s, m):
+    assert h1_brute_force(character_for(p, s, m))["dim"] == h1_closed_formula(p, s, m)
+
+
+def test_h1_builds_no_products_and_one_lucas_row_per_column(monkeypatch):
+    """Timer-free cost guard: at (5,2,6) h1_brute_force multiplies no
+    matrices and computes no binomial entry by entry.  Each column of each
+    generator's action on each component is one Lucas row, m s L rows in
+    all.  Building the norms as (sigma - 1)^{p-1} took 3 products per
+    generator and component, and the action one binom_mod_p call per
+    entry."""
+    ch = character_for(5, 2, 6)
+    products, entries, rows = [], [], []
+    binom_row = cohomology.binom_row_mod_p
+
+    def counted_row(num, den, n, p):
+        rows.append(n)
+        return binom_row(num, den, n, p)
+
+    monkeypatch.setattr(linalg, "mat_mul", lambda *args: products.append(args),
+                        raising=False)
+    monkeypatch.setattr(cohomology, "binom_mod_p",
+                        lambda *args: entries.append(args), raising=False)
+    monkeypatch.setattr(cohomology, "binom_row_mod_p", counted_row)
+    assert h1_brute_force(ch)["dim"] == h1_closed_formula(5, 2, 6)
+    assert not products and not entries
+    assert len(rows) == ch.m * ch.s * component_depth(5)
+
+
 @pytest.mark.parametrize("p,s,m", small_grid() + [(3, 2, 10), (5, 2, 6)])
 def test_h1_basis_is_independent_modulo_coboundaries(p, s, m):
     """Each component's representatives are nonzero windows of cocycles,
@@ -134,9 +176,9 @@ def test_h1_basis_is_independent_modulo_coboundaries(p, s, m):
     for r in range(m):
         reps = [w for rr, w in basis if rr == r]
         assert all(len(w) == s * W and any(w) for w in reps)
-        mats = [component_action_matrix(ch, ch.generator(i), r, L)
+        gens = [component_action_matrix(ch, ch.generator(i), r, L)
                 for i in range(1, s + 1)]
-        d0, d1 = _complex(field, mats, p, 1)
+        d0, d1 = _complex(field, gens, 1)
         zw = [window(v) for v in linalg.nullspace(field, d1, s * L)]
         for w in reps:
             assert linalg.rank(field, zw + [w]) == linalg.rank(field, zw)
@@ -205,7 +247,7 @@ def test_component_matrices_match_series_action(p, s, m):
         g = ch.generator(i)
         full = tangent_action_matrix(ch, g, K)
         for r in range(m):
-            comp = component_action_matrix(ch, g, r, L)
+            comp = component_action_matrix(ch, g, r, L)[0]
             levels = [l for l in range(L) if r + l * m < K]
             for l in levels:
                 for lp in levels:
@@ -299,21 +341,27 @@ def test_h2_dimension_matches_bar_complex(p, s, m):
     assert h2_brute_force(ch)["dim"] == bar_h2_dimension(ch)
 
 
+def generator_modules(ch):
+    """The generators' (matrix, norm) pairs on M and on each graded
+    component, as _complex takes them."""
+    gens = [ch.generator(i) for i in range(1, ch.s + 1)]
+    L = component_depth(ch.p)
+    modules = [_generator_actions(ch)]
+    modules += [[component_action_matrix(ch, g, r, L) for g in gens]
+                for r in range(ch.m)]
+    return modules
+
+
 @pytest.mark.parametrize("p,s,m", H2_POINTS + [(3, 3, 2)])
 def test_complex_squares_to_zero(p, s, m):
     """d^1 d^0 = 0 and d^2 d^1 = 0 on M and on each graded component; the
     signs only show at odd p, hence (3, 3, 2) for s = 3."""
     ch = character_for(p, s, m)
     field = ch.field
-    gens = [ch.generator(i) for i in range(1, s + 1)]
-    L = component_depth(p)
-    modules = [[action_matrix(ch, g) for g in gens]]
-    modules += [[component_action_matrix(ch, g, r, L) for g in gens]
-                for r in range(m)]
-    for mats in modules:
-        d0, d1, d2 = _complex(field, mats, p, 2)
+    for gens in generator_modules(ch):
+        d0, d1, d2 = _complex(field, gens, 2)
         for a, b in ((d1, d0), (d2, d1)):
-            assert not any(any(row) for row in linalg.mat_mul(field, a, b))
+            assert not any(any(row) for row in mat_mul(field, a, b))
 
 
 def power_sum_norm(field, A, p):
@@ -323,31 +371,28 @@ def power_sum_norm(field, A, p):
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     norm = power
     for _ in range(p - 1):
-        power = linalg.mat_mul(field, power, A)
+        power = mat_mul(field, power, A)
         norm = [[add[x][y] for x, y in zip(rn, rp)] for rn, rp in zip(norm, power)]
     return norm
 
 
-@pytest.mark.parametrize("p,s,m", small_grid())
+@pytest.mark.parametrize("p,s,m", small_grid() + [(3, 3, 2)])
 def test_norm_blocks_are_power_sums(p, s, m):
-    """The blocks N_j of d^1 from e_j to 2 e_j, which _complex builds as
-    (sigma_j - 1)^{p-1}, equal 1 + sigma_j + ... + sigma_j^{p-1}, on M and
-    on each graded component."""
+    """The closed-form norm that _action builds beside each generator, -sigma
+    on the entries whose level gap is a positive multiple of p - 1, equals
+    1 + sigma + ... + sigma^{p-1}, on M and on each graded component, and
+    it is the block N_j of d^1 from e_j to 2 e_j."""
     ch = character_for(p, s, m)
     field = ch.field
-    gens = [ch.generator(i) for i in range(1, s + 1)]
-    L = component_depth(p)
-    modules = [[action_matrix(ch, g) for g in gens]]
-    modules += [[component_action_matrix(ch, g, r, L) for g in gens]
-                for r in range(m)]
-    for mats in modules:
-        n = len(mats[0])
-        d1 = _complex(field, mats, p, 1)[1]
-        for j in range(s):
+    for gens in generator_modules(ch):
+        n = len(gens[0][0])
+        d1 = _complex(field, gens, 1)[1]
+        for j, (A, N) in enumerate(gens):
+            assert N == power_sum_norm(field, A, p)
             row = _multi_indices(s, 2).index(tuple(2 * (k == j) for k in range(s)))
             col = _multi_indices(s, 1).index(tuple(int(k == j) for k in range(s)))
             block = [r[col * n:(col + 1) * n] for r in d1[row * n:(row + 1) * n]]
-            assert block == power_sum_norm(field, mats[j], p)
+            assert block == N
 
 
 @pytest.mark.parametrize("p,s,m", [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2)])
