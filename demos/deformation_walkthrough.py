@@ -11,6 +11,7 @@ infinitesimal order.
 from wildram.autoreps import make_character
 from wildram.coeffring import make_artin_algebra, make_field
 from wildram.deform import (
+    deformation_window,
     deformed_rho,
     cocycle_formula_cochain,
     make_datum,
@@ -46,7 +47,7 @@ print("agree:", extracted == closed)
 # lift of the undeformed family composes on the nose
 A = make_artin_algebra(field, 3)
 rep0 = trivial_rep(A, ch)
-window = 3 * (m + 2)
+window = deformation_window(m)
 ft0 = LaurentSeries.t_power(A, -m, 8 * window)
 lifts = {1: deformed_rho(rep0, ft0, ch.generator(1), window)}
 obs = obstruction_two_cocycle(rep0, lifts)

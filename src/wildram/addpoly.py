@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffring import FieldElem, ArtinElem, ring_is_field
+from .coeffring import RingElem, RingMismatch
 from .series import LaurentSeries
 
 
@@ -23,15 +23,8 @@ class PPolynomial:
 
     @classmethod
     def make(cls, ring, terms):
-        out = []
-        for nu, c in sorted(terms.items()):
-            if isinstance(c, (FieldElem, ArtinElem)):
-                c = c.idx if isinstance(c, FieldElem) else c.raw
-            elif isinstance(c, int):
-                c = ring.raw_from_int(c)
-            if not ring.raw_is_zero(c):
-                out.append((nu, c))
-        return cls(ring, tuple(out))
+        raws = ((nu, ring.to_raw(c)) for nu, c in sorted(terms.items()))
+        return cls(ring, tuple((nu, c) for nu, c in raws if not ring.raw_is_zero(c)))
 
     @classmethod
     def zero(cls, ring):
@@ -42,8 +35,7 @@ class PPolynomial:
         return cls.make(ring, {0: ring.raw_one()})
 
     def terms(self):
-        mk = FieldElem if ring_is_field(self.ring) else ArtinElem
-        return [(nu, mk(self.ring, c)) for nu, c in self.coeffs]
+        return [(nu, self.ring.from_raw(c)) for nu, c in self.coeffs]
 
     def coeff(self, nu):
         for n, c in self.coeffs:
@@ -74,9 +66,7 @@ class PPolynomial:
         return self + other.scale_raw(other.ring.raw_neg(other.ring.raw_one()))
 
     def scale(self, c):
-        if isinstance(c, (FieldElem, ArtinElem)):
-            c = c.idx if isinstance(c, FieldElem) else c.raw
-        return self.scale_raw(c)
+        return self.scale_raw(self.ring.to_raw(c))
 
     def scale_raw(self, c):
         r = self.ring
@@ -86,10 +76,7 @@ class PPolynomial:
     def to_pairs(self):
         """Serialization: [[nu, coefficient-vector]] sorted by nu, in the
         lists that a JSON round trip gives back."""
-        if ring_is_field(self.ring):
-            return [[nu, list(self.ring.idx_to_coeffs(c))] for nu, c in self.coeffs]
-        return [[nu, [list(self.ring.base.idx_to_coeffs(i)) for i in c]]
-                for nu, c in self.coeffs]
+        return [[nu, self.ring.raw_to_vector(c)] for nu, c in self.coeffs]
 
     def __repr__(self):
         return "PPoly[%s]" % ", ".join("%r Y^%d^%d" % (c, self.ring.p, nu)
@@ -101,20 +88,16 @@ def ppoly_apply(poly, arg):
     or another PPolynomial (giving the composed p-polynomial)."""
     r = poly.ring
     p = r.p
-    if isinstance(arg, (FieldElem, ArtinElem)):
-        acc = poly.value_raw(arg.idx if isinstance(arg, FieldElem) else arg.raw)
-        return FieldElem(r, acc) if ring_is_field(r) else ArtinElem(r, acc)
+    if isinstance(arg, RingElem):
+        return r.from_raw(poly.value_raw(r.to_raw(arg)))
+    if isinstance(arg, (LaurentSeries, PPolynomial)) and arg.ring != r:
+        raise RingMismatch("argument ring does not match polynomial ring")
     if isinstance(arg, LaurentSeries):
-        if arg.ring != r:
-            raise ValueError("series ring does not match polynomial ring")
         acc = LaurentSeries.zero(r)
-        mk = FieldElem if ring_is_field(r) else ArtinElem
         for nu, c in poly.coeffs:
-            acc = acc + arg.frobenius_power(nu).scale(mk(r, c))
+            acc = acc + arg.frobenius_power(nu).scale(r.from_raw(c))
         return acc
     if isinstance(arg, PPolynomial):
-        if arg.ring != r:
-            raise ValueError("ring mismatch in p-polynomial composition")
         out = {}
         for nu, c in poly.coeffs:
             for mu, d in arg.coeffs:
@@ -160,13 +143,8 @@ def moore_det(xs):
     xs = list(xs)
     if not xs:
         raise ValueError("empty argument list")
-    first = xs[0]
-    ring = first.field if isinstance(first, FieldElem) else first.ring
-    raws = [x.idx if isinstance(x, FieldElem) else x.raw for x in xs]
-    det = ore_recursion(ring, raws)[1]
-    if ring_is_field(ring):
-        return FieldElem(ring, det)
-    return ArtinElem(ring, det)
+    ring = xs[0].ring
+    return ring.from_raw(ore_recursion(ring, [ring.to_raw(x) for x in xs])[1])
 
 
 def additive_poly_from_character(ch, omit):
@@ -176,7 +154,7 @@ def additive_poly_from_character(ch, omit):
     if not 1 <= omit <= len(vals):
         raise ValueError("omit index out of range")
     del vals[omit - 1]
-    return ore_recursion(ch.field, [v.idx for v in vals])[0]
+    return ore_recursion(ch.field, [v.raw for v in vals])[0]
 
 
 def moore_swap_identity_check(ch, i):

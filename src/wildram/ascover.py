@@ -23,7 +23,6 @@ from .addpoly import (
     ppoly_apply,
 )
 from .autoreps import build_rho
-from .coeffring import FieldElem
 from .series import (
     INF,
     LaurentSeries,
@@ -85,8 +84,7 @@ def subfield_elements(field, s):
     """The elements of the field fixed by the p^s-power map (the copy of
     F_{p^s} when it embeds), in index order."""
     q = field.p ** s
-    return [FieldElem(field, i) for i in range(field.q)
-            if field.raw_pow(i, q) == i]
+    return [x for x in field.elements() if field.raw_pow(x.raw, q) == x.raw]
 
 
 def default_mu(field, s):
@@ -133,11 +131,11 @@ def build_u(ch, mu=None):
     s = ch.s
     if mu is None:
         mu = default_mu(field, s)
-    mu = [v if isinstance(v, FieldElem) else field.elem(v) for v in mu]
+    mu = [field.elem(v) for v in mu]
     if len(mu) != s or not moore_det(mu):
         raise DependentMu("mu must be an F_p-basis of F_{p^s}")
-    u1 = _u1(field, [v.idx for v in mu], [c.idx for c in ch.vals])
-    o = [FieldElem(field, u1.coeff(nu)) for nu in range(s)]
+    u1 = _u1(field, [v.raw for v in mu], [c.raw for c in ch.vals])
+    o = [field.from_raw(u1.coeff(nu)) for nu in range(s)]
     u = ppoly_apply(frobenius_minus_identity(field, s), u1)
     q = field.p ** s
     for nu in range(s):
@@ -152,7 +150,7 @@ def normalized_generators(ch):
     The shift check evaluates y_i on every c(sigma_j) through additivity."""
     field = ch.field
     out = []
-    for i, yi in enumerate(_generators(field, [c.idx for c in ch.vals])):
+    for i, yi in enumerate(_generators(field, [c.raw for c in ch.vals])):
         shifts = tuple(ppoly_apply(yi, c) == (field.one() if j == i else field.zero())
                        for j, c in enumerate(ch.vals))
         out.append({"yi": yi, "shift_check": shifts})
@@ -270,7 +268,7 @@ def expand_downstairs(x, g, s):
         b = r.coeff(lead_e)
         if not field.raw_is_zero(b):
             out[n] = b
-            r = r - xpow.scale(FieldElem(field, b))
+            r = r - xpow.scale(field.from_raw(b))
         n += 1
         xpow = xpow * x
     if r.lead < 0:
@@ -294,7 +292,7 @@ def downstairs_model(ch):
         yi = ppoly_apply(rec["yi"], f_germ)
         ui = yi.frobenius_power(1) - yi
         ui_x = expand_downstairs(x, ui, s)
-        mu_i = data["mu"][i].idx
+        mu_i = data["mu"][i].raw
         for j in range(s):
             for e, c in ui_x.items():
                 term = field.raw_mul(mu_i, field.raw_pow(c, p ** j))
@@ -320,9 +318,8 @@ def deformed_u(ch, mu, Cvals, ftilde):
             raise ReductionMismatch("deformed values do not reduce to c")
     if mu is None:
         mu = default_mu(field, s)
-    mu = [v if isinstance(v, FieldElem) else field.elem(v) for v in mu]
-    U1poly = _u1(A, [(v.idx,) + (0,) * (A.n - 1) for v in mu],
-                 [Cv.raw for Cv in Cvals])
+    U1poly = _u1(A, [A.include(field.elem(v)).raw for v in mu],
+                 [A.to_raw(Cv) for Cv in Cvals])
     U1 = ppoly_apply(U1poly, ftilde)
     U = U1.frobenius_power(s) - U1
 

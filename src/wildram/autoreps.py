@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .addpoly import moore_det
-from .coeffring import FieldElem
 from .series import LaurentSeries, compose
 
 
@@ -70,7 +69,7 @@ class Character:
 
 
 def make_character(field, vals, m):
-    vals = tuple(v if isinstance(v, FieldElem) else field.elem(v) for v in vals)
+    vals = tuple(map(field.elem, vals))
     return Character(field, len(vals), vals, m)
 
 
@@ -106,12 +105,17 @@ def peeled(ch):
             yield g, i, GroupElem(e[:i] + (e[i] - 1,) + e[i + 1:])
 
 
+def additive_value(field, vals, g):
+    """The value at g = prod sigma_i^e_i of the additive map V -> field
+    with value vals[i] at sigma_i: sum_i e_i vals[i]."""
+    acc = field.raw_zero()
+    for e, v in zip(g.exps, vals):
+        acc = field.raw_add(acc, field.raw_mul(field.raw_from_int(e), v.raw))
+    return field.from_raw(acc)
+
+
 def character_value(ch, g):
-    acc = ch.field.zero()
-    for e, v in zip(g.exps, ch.vals):
-        for _ in range(e % ch.p):
-            acc = acc + v
-    return acc
+    return additive_value(ch.field, ch.vals, g)
 
 
 def binom_row_mod_p(num, den, n, p):
@@ -144,7 +148,7 @@ def build_rho(ch, g, prec=None):
         return ch.rho_memo[key]
     field = ch.field
     p, m = ch.p, ch.m
-    c = character_value(ch, g).idx
+    c = character_value(ch, g).raw
     coeffs = {}
     ck = field.raw_one()
     # the exponents 1 + km below prec
@@ -197,7 +201,7 @@ def ramification_data(ch, prec=None):
         if g.is_identity():
             continue
         diff = build_rho(ch, g, prec) - t
-        jumps[g.exps] = diff.valuation()
+        jumps[g.exps] = diff.reduced_valuation()
     ar1 = sum(jumps.values())
     return {
         "i": jumps,

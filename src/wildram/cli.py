@@ -29,8 +29,9 @@ from .series import LaurentSeries, invert_unit_series
 
 SCHEMA = "wildram-report/1"
 KNOWN_TASKS = ("rho", "cohomology", "ascover", "deform", "predicates")
-# Resource caps on a job: series are built to `precision` terms, 24(m+2) in
-# the deformation task, which works over F_q[eps]/eps^artin_order.
+# Resource caps on a job: series are built to `precision` terms, and to
+# deform_precision(m) in the deformation task, which works over
+# F_q[eps]/eps^artin_order.
 MAX_PRECISION = 1024
 MAX_ARTIN_ORDER = 16
 # Seeded first-order data the deform task extracts and checks per job.
@@ -80,7 +81,7 @@ def parse_config(data):
     _require(isinstance(vals, list) and len(vals) == s,
              "/character/vals", "need exactly s generator values")
     try:
-        ch = make_character(field, [field.elem(v) for v in vals], m)
+        ch = make_character(field, vals, m)
     except (TypeError, ValueError) as e:
         raise ConfigInvalid("/character/vals", str(e))
     n = data.get("artin_order", 2)
@@ -105,9 +106,9 @@ def parse_config(data):
             raise UnknownTask("/tasks/%d/name" % i, t["name"])
         parsed.append(t)
     _require(all(t["name"] != "deform" for t in parsed)
-             or 24 * (m + 2) <= MAX_PRECISION, "/character/m",
-             "the deform task builds series to 24(m+2) = %d terms, above the "
-             "limit %d" % (24 * (m + 2), MAX_PRECISION))
+             or deform_precision(m) <= MAX_PRECISION, "/character/m",
+             "the deform task builds series to %d terms, above the limit %d"
+             % (deform_precision(m), MAX_PRECISION))
     return {"field": field, "ch": ch, "artin_order": n,
             "precision": prec, "seed": seed, "tasks": parsed}
 
@@ -185,10 +186,16 @@ def _random_datum(ch, rng):
     q = field.p ** field.d
     mul = field.tables()[1]
     t_raw = rng.randrange(q)
-    lam1 = [field.from_raw(mul[t_raw][c.idx]) for c in ch.vals]
+    lam1 = [field.from_raw(mul[t_raw][c.raw]) for c in ch.vals]
     delta = [field.from_raw(rng.randrange(q)) for _ in range(ch.s)]
     a1 = [field.from_raw(rng.randrange(q)) for _ in range(ch.m)]
     return deform.DeformationDatum(ch, tuple(lam1), tuple(delta), tuple(a1))
+
+
+def deform_precision(m):
+    """The precision of ftilde in the obstruction part of the deform task,
+    eight deformation windows, and the longest series the task builds."""
+    return 8 * deform.deformation_window(m)
 
 
 def task_deform(job):
@@ -207,8 +214,8 @@ def task_deform(job):
             matches += 1
     A = make_artin_algebra(ch.field, job["artin_order"])
     rep0 = deform.trivial_rep(A, ch)
-    window = 3 * (ch.m + 2)
-    ft0 = LaurentSeries.t_power(A, -ch.m, 8 * window)
+    ft0 = LaurentSeries.t_power(A, -ch.m, deform_precision(ch.m))
+    window = deform.deformation_window(ch.m)
     lifts = {i: deform.deformed_rho(rep0, ft0, ch.generator(i), window)
              for i in range(1, ch.s + 1)}
     out = {"samples": DEFORM_SAMPLES, "formula_matches": matches,

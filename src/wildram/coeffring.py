@@ -6,6 +6,11 @@ tables (fields in scope have q <= 625), so element operations are table
 lookups.  Series and linear-algebra code works on the "raw" representation
 directly (ints for fields, tuples of ints for Artin rings) through the
 raw_* methods shared by both descriptor types.
+
+This module alone decides how a raw value becomes an element and back:
+every element is a RingElem holding (ring, raw), wrapped by
+ring.from_raw and unwrapped by x.raw, or by ring.to_raw where the input
+may also be an integer; an element of another ring raises RingMismatch.
 """
 
 from __future__ import annotations
@@ -66,10 +71,139 @@ def _polmod_mul(a, b, modulus, p):
     return tuple(res[:d])
 
 
-class FieldDescriptor:
+class RingMismatch(ValueError):
+    """An element, series or polynomial of another coefficient ring."""
+
+
+@dataclass(frozen=True)
+class RingElem:
+    """An element of a coefficient ring: its descriptor and its raw value,
+    with the arithmetic of the descriptor's raw_* methods.  Equality also
+    compares the class, so a field element never equals an Artin element."""
+    ring: object
+    raw: object
+
+    def __bool__(self):
+        return not self.ring.raw_is_zero(self.raw)
+
+    def is_unit(self):
+        return self.ring.raw_is_unit(self.raw)
+
+    def _check(self, other):
+        if not isinstance(other, RingElem) or self.ring != other.ring:
+            raise RingMismatch("elements of different rings")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.ring, self.ring.raw_add(self.raw, other.raw))
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.ring, self.ring.raw_sub(self.raw, other.raw))
+
+    def __neg__(self):
+        return type(self)(self.ring, self.ring.raw_neg(self.raw))
+
+    def __mul__(self, other):
+        self._check(other)
+        return type(self)(self.ring, self.ring.raw_mul(self.raw, other.raw))
+
+    def __pow__(self, n):
+        return type(self)(self.ring, self.ring.raw_pow(self.raw, n))
+
+
+class FieldElem(RingElem):
+    """An element of F_{p^d}; raw is its index."""
+
+    @property
+    def idx(self):
+        return self.raw
+
+    @property
+    def coeffs(self):
+        return self.ring.idx_to_coeffs(self.raw)
+
+    def frobenius(self, e=1):
+        return self.ring.from_raw(self.ring.raw_frobenius(self.raw, e))
+
+    def __repr__(self):
+        return "Fq%s" % (list(self.coeffs),)
+
+
+class ArtinElem(RingElem):
+    """An element of F_q[eps]/(eps^n); raw is the tuple of the field
+    indices of its eps-components."""
+
+    @property
+    def comps(self):
+        return tuple(map(self.ring.base.from_raw, self.raw))
+
+    def residue(self):
+        return self.ring.base.from_raw(self.raw[0])
+
+    def reduce(self, m=None):
+        """Image under A -> F_q[eps]/(eps^m); m defaults to n-1."""
+        if m is None:
+            m = self.ring.n - 1
+        return ArtinAlgebraDescriptor(self.ring.base, m).from_raw(self.raw[:m])
+
+    def lift(self, ring):
+        """Zero-padded lift along ring -> self.ring."""
+        if ring.base != self.ring.base or ring.n < self.ring.n:
+            raise ValueError("not an extension of the ambient ring")
+        return ring.from_raw(self.raw + (0,) * (ring.n - self.ring.n))
+
+    def __repr__(self):
+        return "Artin%s" % ([list(c.coeffs) for c in self.comps],)
+
+
+class RingDescriptor:
+    """What both descriptors share: the one place where a raw value becomes
+    an element (from_raw) and an input becomes a raw value (to_raw), and
+    powers built on raw_mul and raw_inv.  A subclass names its element
+    class and supplies the rest of the raw_* methods."""
+
+    def from_raw(self, raw):
+        return self.element(self, raw)
+
+    def to_raw(self, x):
+        """x as a raw value: an element of this ring unwrapped, an int read
+        as an integer, anything else taken as raw already.  An element of
+        another ring raises RingMismatch."""
+        if isinstance(x, RingElem):
+            if x.ring != self:
+                raise RingMismatch("%r is not an element of %r" % (x, self))
+            return x.raw
+        if isinstance(x, int):
+            return self.raw_from_int(x)
+        return x
+
+    def from_int(self, k):
+        return self.from_raw(self.raw_from_int(k))
+
+    def zero(self):
+        return self.from_raw(self.raw_zero())
+
+    def one(self):
+        return self.from_raw(self.raw_one())
+
+    def raw_pow(self, a, n):
+        if n < 0:
+            a, n = self.raw_inv(a), -n
+        result = self.raw_one()
+        while n:
+            if n & 1:
+                result = self.raw_mul(result, a)
+            a = self.raw_mul(a, a)
+            n >>= 1
+        return result
+
+
+class FieldDescriptor(RingDescriptor):
     """The finite field F_{p^d} given by a monic irreducible modulus over F_p."""
 
     nilpotency = 1
+    element = FieldElem
 
     def __init__(self, p, d, modulus):
         self.p = p
@@ -165,18 +299,6 @@ class FieldDescriptor:
             raise NotAUnit("zero is not invertible")
         return self.tables()[3][a]
 
-    def raw_pow(self, a, n):
-        if n < 0:
-            return self.raw_pow(self.raw_inv(a), -n)
-        mul = self.tables()[1]
-        result, base = 1, a
-        while n:
-            if n & 1:
-                result = mul[result][base]
-            base = mul[base][base]
-            n >>= 1
-        return result
-
     def raw_frobenius(self, a, e=1):
         frob = self.tables()[4]
         for _ in range(e % self.d):
@@ -195,83 +317,35 @@ class FieldDescriptor:
     def raw_is_unit(self, a):
         return a != 0
 
-    def raw_residue(self, a):
-        return a
+    def raw_to_vector(self, a):
+        """The coefficient vector of a raw element, as a JSON list."""
+        return list(self.idx_to_coeffs(a))
+
+    def raw_from_vector(self, v):
+        return self.coeffs_to_idx(v)
 
     # -- public elements ------------------------------------------------------
 
     def elem(self, coeffs):
+        """The element with the given coefficient vector over F_p; an
+        element of this field comes back unchanged."""
+        if isinstance(coeffs, RingElem):
+            return self.from_raw(self.to_raw(coeffs))
         coeffs = list(coeffs)
         if len(coeffs) > self.d:
             raise ValueError("coefficient vector longer than degree %d" % self.d)
         if not all(isinstance(c, int) for c in coeffs):
             raise TypeError("integer coefficients required")
         coeffs = coeffs + [0] * (self.d - len(coeffs))
-        return FieldElem(self, self.coeffs_to_idx(coeffs))
-
-    def from_int(self, n):
-        return FieldElem(self, n % self.p)
-
-    def from_raw(self, raw):
-        return FieldElem(self, raw)
-
-    def zero(self):
-        return FieldElem(self, 0)
-
-    def one(self):
-        return FieldElem(self, 1)
+        return self.from_raw(self.coeffs_to_idx(coeffs))
 
     def gen(self):
         if self.d == 1:
             return self.from_int(-self.modulus[0])
-        return FieldElem(self, self.p)  # the class of x
+        return self.from_raw(self.p)  # the class of x
 
     def elements(self):
-        return [FieldElem(self, i) for i in range(self.q)]
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    field: FieldDescriptor
-    idx: int
-
-    @property
-    def coeffs(self):
-        return self.field.idx_to_coeffs(self.idx)
-
-    def __bool__(self):
-        return self.idx != 0
-
-    def is_unit(self):
-        return self.idx != 0
-
-    def _check(self, other):
-        if not isinstance(other, FieldElem) or self.field != other.field:
-            raise ValueError("field mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.raw_add(self.idx, other.idx))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.raw_sub(self.idx, other.idx))
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.raw_neg(self.idx))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.raw_mul(self.idx, other.idx))
-
-    def __pow__(self, n):
-        return FieldElem(self.field, self.field.raw_pow(self.idx, n))
-
-    def frobenius(self, e=1):
-        return FieldElem(self.field, self.field.raw_frobenius(self.idx, e))
-
-    def __repr__(self):
-        return "Fq%s" % (list(self.coeffs),)
+        return [self.from_raw(i) for i in range(self.q)]
 
 
 # -- field construction -------------------------------------------------------
@@ -343,11 +417,13 @@ def make_field(p, d=1, modulus=None):
 
 # -- Artin local algebras -----------------------------------------------------
 
-class ArtinAlgebraDescriptor:
+class ArtinAlgebraDescriptor(RingDescriptor):
     """A = F_q[eps]/(eps^n).  n = 1 is the field itself (still wrapped).
 
     Raw elements are length-n tuples of field indices.
     """
+
+    element = ArtinElem
 
     def __init__(self, base, n):
         if n < 1:
@@ -427,17 +503,6 @@ class ArtinAlgebraDescriptor:
             acc = self.raw_add(acc, term)
         return self.raw_mul(c0inv, acc)
 
-    def raw_pow(self, a, n):
-        if n < 0:
-            return self.raw_pow(self.raw_inv(a), -n)
-        result, base = self.raw_one(), a
-        while n:
-            if n & 1:
-                result = self.raw_mul(result, base)
-            base = self.raw_mul(base, base)
-            n >>= 1
-        return result
-
     def raw_is_zero(self, a):
         return not any(a)
 
@@ -447,102 +512,38 @@ class ArtinAlgebraDescriptor:
     def raw_residue(self, a):
         return a[0]
 
+    def raw_to_vector(self, a):
+        """The coefficient vectors of the eps-components, as JSON lists."""
+        return [self.base.raw_to_vector(i) for i in a]
+
+    def raw_from_vector(self, v):
+        raw = tuple(map(self.base.raw_from_vector, v))
+        return raw + (0,) * (self.n - len(raw))
+
     # -- public elements ------------------------------------------------------
 
     def elem(self, comps):
+        """The element with the given eps-components, elements of the base
+        field, the missing ones zero."""
         comps = list(comps)
         if len(comps) > self.n:
             raise ValueError("too many eps-components")
-        raw = tuple(c.idx for c in comps) + (0,) * (self.n - len(comps))
-        return ArtinElem(self, raw)
+        raw = tuple(map(self.base.to_raw, comps))
+        return self.from_raw(raw + (0,) * (self.n - len(comps)))
 
     def include(self, x):
-        return ArtinElem(self, (x.idx,) + (0,) * (self.n - 1))
-
-    def from_int(self, k):
-        return ArtinElem(self, self.raw_from_int(k))
-
-    def from_raw(self, raw):
-        return ArtinElem(self, raw)
-
-    def zero(self):
-        return ArtinElem(self, self.raw_zero())
-
-    def one(self):
-        return ArtinElem(self, self.raw_one())
+        return self.elem([x])
 
     def eps(self):
-        return ArtinElem(self, self.raw_eps())
+        return self.from_raw(self.raw_eps())
 
     def small_extension(self):
         """A' = F_q[eps]/(eps^{n+1}), the canonical small extension onto A."""
         return ArtinAlgebraDescriptor(self.base, self.n + 1)
 
     def elements(self):
-        def rec(k):
-            if k == 0:
-                yield ()
-                return
-            for rest in rec(k - 1):
-                for i in range(self.base.q):
-                    yield rest + (i,)
-        return [ArtinElem(self, raw) for raw in rec(self.n)]
-
-
-@dataclass(frozen=True)
-class ArtinElem:
-    ring: ArtinAlgebraDescriptor
-    raw: tuple
-
-    @property
-    def comps(self):
-        return tuple(FieldElem(self.ring.base, i) for i in self.raw)
-
-    def __bool__(self):
-        return any(self.raw)
-
-    def is_unit(self):
-        return self.raw[0] != 0
-
-    def residue(self):
-        return FieldElem(self.ring.base, self.raw[0])
-
-    def _check(self, other):
-        if not isinstance(other, ArtinElem) or self.ring != other.ring:
-            raise ValueError("ring mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return ArtinElem(self.ring, self.ring.raw_add(self.raw, other.raw))
-
-    def __sub__(self, other):
-        self._check(other)
-        return ArtinElem(self.ring, self.ring.raw_sub(self.raw, other.raw))
-
-    def __neg__(self):
-        return ArtinElem(self.ring, self.ring.raw_neg(self.raw))
-
-    def __mul__(self, other):
-        self._check(other)
-        return ArtinElem(self.ring, self.ring.raw_mul(self.raw, other.raw))
-
-    def __pow__(self, n):
-        return ArtinElem(self.ring, self.ring.raw_pow(self.raw, n))
-
-    def reduce(self, m=None):
-        """Image under A -> F_q[eps]/(eps^m); m defaults to n-1."""
-        if m is None:
-            m = self.ring.n - 1
-        return ArtinElem(ArtinAlgebraDescriptor(self.ring.base, m), self.raw[:m])
-
-    def lift(self, ring):
-        """Zero-padded lift along ring -> self.ring."""
-        if ring.base != self.ring.base or ring.n < self.ring.n:
-            raise ValueError("not an extension of the ambient ring")
-        return ArtinElem(ring, self.raw + (0,) * (ring.n - self.ring.n))
-
-    def __repr__(self):
-        return "Artin%s" % ([list(c.coeffs) for c in self.comps],)
+        return [self.from_raw(raw)
+                for raw in itertools.product(range(self.base.q), repeat=self.n)]
 
 
 def make_artin_algebra(base, n):
@@ -555,7 +556,7 @@ def p_power_root(x, e=1):
     """The unique y with y^{p^e} = x, by iterating the inverse Frobenius."""
     if not isinstance(x, FieldElem):
         raise TypeError("p-power roots are only defined over fields")
-    return FieldElem(x.field, x.field.raw_p_root(x.idx, e))
+    return x.ring.from_raw(x.ring.raw_p_root(x.raw, e))
 
 
 def ring_is_field(ring):

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from . import linalg
 from .autoreps import (Character, binom_row_mod_p, character_value,
                        group_mul, group_pow, peeled)
-from .coeffring import FieldElem
 from .series import pole_part
 
 
@@ -59,7 +58,7 @@ class PolePartClass:
 
     @classmethod
     def from_vector(cls, ch, raws):
-        return cls(ch, tuple(FieldElem(ch.field, r) for r in raws))
+        return cls(ch, tuple(map(ch.field.from_raw, raws)))
 
     @classmethod
     def from_series(cls, ch, s):
@@ -67,10 +66,10 @@ class PolePartClass:
         pp = pole_part(s)
         if pp.coeffs and pp.lead < -(ch.m + 1):
             raise ValueError("pole of order > m+1 cannot represent a class")
-        return cls(ch, tuple(pp.coeff_elem(-i) for i in range(1, ch.m + 2)))
+        return cls.from_vector(ch, [pp.coeff(-i) for i in range(1, ch.m + 2)])
 
     def vector(self):
-        return [c.idx for c in self.coeffs]
+        return [c.raw for c in self.coeffs]
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -128,7 +127,7 @@ def _action(ch, g, exps):
     p, m = ch.p, ch.m
     tables = ch.field.tables()
     mul, neg = tables[1], tables[2]
-    c = character_value(ch, g).idx
+    c = character_value(ch, g).raw
     pos = {e: i for i, e in enumerate(exps)}
     top = max(exps)
     n = len(exps)

@@ -16,12 +16,13 @@ from itertools import combinations
 from math import gcd
 
 from .autoreps import (
+    additive_value,
     build_rho,
     character_value,
     group_mul,
     peeled,
 )
-from .coeffring import FieldElem, make_artin_algebra
+from .coeffring import make_artin_algebra
 from .cohomology import H2Engine, OneCochain, PolePartClass, is_cocycle
 from .series import (
     INF,
@@ -34,6 +35,12 @@ from .ascover import ReductionMismatch
 
 class NoSolution(ArithmeticError):
     pass
+
+
+def deformation_window(m):
+    """The t-precision to which the tangent and obstruction cocycles are
+    read at conductor m: three times the m + 2 their pole parts need."""
+    return 3 * (m + 2)
 
 
 @dataclass(frozen=True)
@@ -135,26 +142,16 @@ class DeformationDatum:
 
     def lambda1_of(self, g):
         """First-order diagonal entry on a general element (additive)."""
-        acc = self.ch.field.zero()
-        for e, l in zip(g.exps, self.lambda1):
-            for _ in range(e % self.ch.p):
-                acc = acc + l
-        return acc
+        return additive_value(self.ch.field, self.lambda1, g)
 
 
 def make_datum(ch, lambda1, delta, a1):
-    field = ch.field
-
+    """Each value an element of the field, a coefficient vector or an int
+    read as an integer."""
     def fe(x):
-        if isinstance(x, FieldElem):
-            return x
-        if isinstance(x, int):
-            return field.from_int(x)
-        return field.elem(x)
+        return ch.field.from_int(x) if isinstance(x, int) else ch.field.elem(x)
 
-    return DeformationDatum(ch, tuple(fe(x) for x in lambda1),
-                            tuple(fe(x) for x in delta),
-                            tuple(fe(x) for x in a1))
+    return DeformationDatum(ch, *(tuple(map(fe, xs)) for xs in (lambda1, delta, a1)))
 
 
 def deformed_rho(rep, ftilde, g, prec):
@@ -236,7 +233,7 @@ def tangent_cocycle_extract(rep, ftilde, prec=None):
     if A.n != 2:
         raise ValueError("tangent extraction needs the dual numbers")
     if prec is None:
-        prec = 3 * (ch.m + 2)
+        prec = deformation_window(ch.m)
     if prec < ch.m + 2:
         raise NoSolution("insufficient precision for the pole window")
     vals = []
@@ -268,13 +265,13 @@ def cocycle_formula(datum, g):
     def bump(e, raw):
         coeffs[e] = field.raw_sub(coeffs.get(e, 0), raw)
 
-    bump(-m, field.raw_mul(lam1.idx, minv))
+    bump(-m, field.raw_mul(lam1.raw, minv))
     for mu, a in enumerate(datum.a1):
         if not a:
             continue
         factor = field.raw_mul(field.raw_from_int(2 * m - mu),
                                field.raw_mul(minv, minv))
-        bump(mu - m, field.raw_mul(factor, field.raw_mul(a.idx, c.idx)))
+        bump(mu - m, field.raw_mul(factor, field.raw_mul(a.raw, c.raw)))
     return PolePartClass.from_series(ch, LaurentSeries(field, coeffs, INF))
 
 
@@ -299,7 +296,7 @@ def obstruction_two_cocycle(repA2, lifts):
     reversion and no composition by rho_gh^{-1}."""
     A, ch = repA2.A, repA2.ch
     engine = H2Engine(ch)  # raises TooLarge before any composition
-    prec = 3 * (ch.m + 2)
+    prec = deformation_window(ch.m)
     kernel_idx = A.n - 1
     for i in range(1, ch.s + 1):
         res = lifts[i].residue()

@@ -24,20 +24,11 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
-from .coeffring import (
-    ArtinAlgebraDescriptor,
-    ArtinElem,
-    FieldElem,
-    ring_is_field,
-)
+from .coeffring import ArtinAlgebraDescriptor, RingMismatch, ring_is_field
 
 INF = 10 ** 9
 
 _second = itemgetter(1)
-
-
-class RingMismatch(ValueError):
-    pass
 
 
 class ValuationOfZero(ValueError):
@@ -72,18 +63,6 @@ class InverseNotFinite(ValueError):
 class NotDistinguished(ArithmeticError):
     """A Weierstrass factor g has a non-leading coefficient outside the
     maximal ideal."""
-
-
-def _raw(ring, x):
-    if isinstance(x, FieldElem):
-        if not ring_is_field(ring):
-            raise RingMismatch("field element in Artin-ring series")
-        return x.idx
-    if isinstance(x, ArtinElem):
-        return x.raw
-    if isinstance(x, int):
-        return ring.raw_from_int(x)
-    return x
 
 
 def _eps_parts(coeffs, field, lo):
@@ -122,7 +101,7 @@ class LaurentSeries:
     @classmethod
     def make(cls, ring, terms, prec=INF):
         """terms: dict exponent -> coefficient (ring element, raw, or int)."""
-        return cls(ring, {e: _raw(ring, c) for e, c in terms.items()}, prec)
+        return cls(ring, {e: ring.to_raw(c) for e, c in terms.items()}, prec)
 
     @classmethod
     def zero(cls, ring, prec=INF):
@@ -149,25 +128,13 @@ class LaurentSeries:
         """Raw coefficient of t^e (zero raw if absent)."""
         return self.coeffs.get(e, self.ring.raw_zero())
 
-    def coeff_elem(self, e):
-        c = self.coeff(e)
-        if ring_is_field(self.ring):
-            return FieldElem(self.ring, c)
-        return ArtinElem(self.ring, c)
-
-    def valuation(self):
-        """Valuation over a field (error if indistinguishable from zero)."""
-        if not ring_is_field(self.ring):
-            return self.reduced_valuation()
-        if not self.coeffs:
-            raise ValuationOfZero("all known coefficients vanish")
-        return self.lead
-
     def reduced_valuation(self):
-        """Valuation of the reduction modulo the maximal ideal."""
-        r = self.ring
-        exps = [e for e, c in self.coeffs.items() if not r.base.raw_is_zero(r.raw_residue(c))] \
-            if not ring_is_field(r) else list(self.coeffs)
+        """Valuation of the reduction modulo the maximal ideal (over a
+        field, the valuation)."""
+        r, lead = self.ring, self.lead
+        if self.coeffs and r.raw_is_unit(self.coeffs[lead]):
+            return lead
+        exps = [e for e, c in self.coeffs.items() if r.raw_is_unit(c)]
         if not exps:
             raise ValuationOfZero("reduction is zero to working precision")
         return min(exps)
@@ -266,7 +233,7 @@ class LaurentSeries:
 
     def scale(self, c):
         r = self.ring
-        c = _raw(r, c)
+        c = r.to_raw(c)
         return LaurentSeries(r, {e: r.raw_mul(x, c) for e, x in self.coeffs.items()}, self.prec)
 
     def shift(self, k):
@@ -345,31 +312,24 @@ class LaurentSeries:
         return True
 
     def to_dict(self):
-        def enc(c):
-            if ring_is_field(self.ring):
-                return list(self.ring.idx_to_coeffs(c))
-            return [list(self.ring.base.idx_to_coeffs(i)) for i in c]
         if not self.coeffs:
             return {"lead": 0, "prec": self.prec, "coeffs": []}
         lo, hi = self.lead, max(self.coeffs)
         return {"lead": lo, "prec": self.prec,
-                "coeffs": [enc(self.coeff(e)) for e in range(lo, hi + 1)]}
+                "coeffs": [self.ring.raw_to_vector(self.coeff(e))
+                           for e in range(lo, hi + 1)]}
 
     @classmethod
     def from_dict(cls, ring, data):
-        def dec(v):
-            if ring_is_field(ring):
-                return ring.coeffs_to_idx(v)
-            raw = tuple(ring.base.coeffs_to_idx(x) for x in v)
-            return raw + (0,) * (ring.n - len(raw))
         lo = data["lead"]
-        return cls(ring, {lo + i: dec(v) for i, v in enumerate(data["coeffs"])},
-                   data["prec"])
+        return cls(ring, {lo + i: ring.raw_from_vector(v)
+                          for i, v in enumerate(data["coeffs"])}, data["prec"])
 
     def __repr__(self):
         if not self.coeffs:
             return "O(t^%s)" % (self.prec,)
-        terms = ["%r*t^%d" % (self.coeff_elem(e), e) for e in sorted(self.coeffs)]
+        terms = ["%r*t^%d" % (self.ring.from_raw(self.coeffs[e]), e)
+                 for e in sorted(self.coeffs)]
         return " + ".join(terms) + " + O(t^%s)" % (self.prec,)
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures and grid helpers for the suite."""
 
+from dataclasses import dataclass
 from math import comb
 
 import pytest
@@ -159,3 +160,122 @@ def mat_mul(field, a, b):
                     if bt[j]:
                         oi[j] = add[oi[j]][mx[bt[j]]]
     return out
+
+
+# -- oracle: one element class per coefficient ring ----------------------------
+
+def field_raw_pow(field, a, n):
+    """Oracle: a^n in a field by square-and-multiply on the product table."""
+    if n < 0:
+        return field_raw_pow(field, field.raw_inv(a), -n)
+    mul = field.tables()[1]
+    result, base = 1, a
+    while n:
+        if n & 1:
+            result = mul[result][base]
+        base = mul[base][base]
+        n >>= 1
+    return result
+
+
+def artin_raw_pow(ring, a, n):
+    """Oracle: a^n in F_q[eps]/eps^n by square-and-multiply on raw_mul."""
+    if n < 0:
+        return artin_raw_pow(ring, ring.raw_inv(a), -n)
+    result, base = ring.raw_one(), a
+    while n:
+        if n & 1:
+            result = ring.raw_mul(result, base)
+        base = ring.raw_mul(base, base)
+        n >>= 1
+    return result
+
+
+@dataclass(frozen=True)
+class OracleFieldElem:
+    """Oracle: a field element with its own arithmetic on the index."""
+    field: object
+    idx: int
+
+    def __bool__(self):
+        return self.idx != 0
+
+    def is_unit(self):
+        return self.idx != 0
+
+    def _check(self, other):
+        if not isinstance(other, OracleFieldElem) or self.field != other.field:
+            raise ValueError("field mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        return OracleFieldElem(self.field, self.field.raw_add(self.idx, other.idx))
+
+    def __sub__(self, other):
+        self._check(other)
+        return OracleFieldElem(self.field, self.field.raw_sub(self.idx, other.idx))
+
+    def __neg__(self):
+        return OracleFieldElem(self.field, self.field.raw_neg(self.idx))
+
+    def __mul__(self, other):
+        self._check(other)
+        return OracleFieldElem(self.field, self.field.raw_mul(self.idx, other.idx))
+
+    def __pow__(self, n):
+        return OracleFieldElem(self.field, field_raw_pow(self.field, self.idx, n))
+
+
+@dataclass(frozen=True)
+class OracleArtinElem:
+    """Oracle: an element of F_q[eps]/eps^n with its own arithmetic on the
+    tuple of component indices."""
+    ring: object
+    raw: tuple
+
+    def __bool__(self):
+        return any(self.raw)
+
+    def is_unit(self):
+        return self.raw[0] != 0
+
+    def _check(self, other):
+        if not isinstance(other, OracleArtinElem) or self.ring != other.ring:
+            raise ValueError("ring mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        return OracleArtinElem(self.ring, self.ring.raw_add(self.raw, other.raw))
+
+    def __sub__(self, other):
+        self._check(other)
+        return OracleArtinElem(self.ring, self.ring.raw_sub(self.raw, other.raw))
+
+    def __neg__(self):
+        return OracleArtinElem(self.ring, self.ring.raw_neg(self.raw))
+
+    def __mul__(self, other):
+        self._check(other)
+        return OracleArtinElem(self.ring, self.ring.raw_mul(self.raw, other.raw))
+
+    def __pow__(self, n):
+        return OracleArtinElem(self.ring, artin_raw_pow(self.ring, self.raw, n))
+
+
+def oracle_elem(ring, raw):
+    """The oracle element of the ring with the given raw value."""
+    if hasattr(ring, "base"):
+        return OracleArtinElem(ring, raw)
+    return OracleFieldElem(ring, raw)
+
+
+def oracle_raw(x):
+    return x.raw if isinstance(x, OracleArtinElem) else x.idx
+
+
+def oracle_constants(ring, k):
+    """Oracle: the raw values of from_int(k), zero and one, per class."""
+    if hasattr(ring, "base"):
+        return ((k % ring.p,) + (0,) * (ring.n - 1), (0,) * ring.n,
+                (1,) + (0,) * (ring.n - 1))
+    return k % ring.p, 0, 1

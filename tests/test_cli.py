@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wildram
-from wildram import autoreps, coeffring
+from wildram import autoreps, coeffring, deform
 from wildram.cli import (
     KNOWN_TASKS,
     MAX_ARTIN_ORDER,
@@ -16,6 +16,7 @@ from wildram.cli import (
     ConfigInvalid,
     UnknownTask,
     compare_golden,
+    deform_precision,
     main,
     parse_config,
     run,
@@ -207,6 +208,21 @@ def test_oversized_jobs_exit_2_before_building_fields(tmp_path, monkeypatch, cap
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.strip() != "config error at %s:" % pointer
     assert not oversized
+
+
+def test_deform_cap_is_eight_deformation_windows():
+    """The deform task builds series to eight deformation windows of
+    3(m+2): m = 40 is the largest conductor under the precision cap."""
+    def job(m):
+        return sample_config(character={"s": 1, "m": m, "vals": [[1]]},
+                             tasks=["predicates", "deform"])
+
+    assert parse_config(job(40))["ch"].m == 40
+    assert deform_precision(40) == 8 * deform.deformation_window(40) == 1008
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(job(41))
+    assert exc.value.pointer == "/character/m"
+    assert deform_precision(41) > MAX_PRECISION
 
 
 def test_rank_above_the_field_degree_exits_2_without_a_moore_determinant(

@@ -5,9 +5,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_constants, oracle_elem, oracle_raw
+from wildram.addpoly import PPolynomial, ppoly_apply
+from wildram.autoreps import make_character
 from wildram.coeffring import (
+    ArtinElem,
+    FieldElem,
     NotAUnit,
     ReducibleModulus,
+    RingMismatch,
     _default_modulus,
     _is_irreducible,
     make_artin_algebra,
@@ -15,6 +21,7 @@ from wildram.coeffring import (
     p_power_root,
     ring_is_field,
 )
+from wildram.series import LaurentSeries
 
 FIELDS = [make_field(2), make_field(3), make_field(5),
           make_field(2, 2), make_field(3, 2), make_field(2, 3), make_field(5, 2)]
@@ -160,3 +167,99 @@ def test_p_power_root_on_field_elements():
     field = make_field(3, 2)
     for a in field.elements():
         assert p_power_root(a) ** 3 == a
+
+
+# GF(4), GF(25), GF(9)[eps]/eps^2 and GF(5)[eps]/eps^3.
+ORACLE_RINGS = [make_field(2, 2), make_field(5, 2),
+                make_artin_algebra(make_field(3, 2), 2),
+                make_artin_algebra(make_field(5), 3)]
+
+
+def raw_values(ring):
+    if ring_is_field(ring):
+        return st.integers(0, ring.q - 1)
+    return st.tuples(*[st.integers(0, ring.base.q - 1)] * ring.n)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_elements_match_the_per_class_oracle(data):
+    """Every element operation, from_int, zero, one and raw_pow, negative
+    exponents included, against one element class per ring."""
+    ring = data.draw(st.sampled_from(ORACLE_RINGS), label="ring")
+    a = data.draw(raw_values(ring), label="a")
+    b = data.draw(raw_values(ring), label="b")
+    k = data.draw(st.integers(-60, 60), label="k")
+    n = data.draw(st.integers(-8, 40), label="n")
+    x, y = ring.from_raw(a), ring.from_raw(b)
+    ox, oy = oracle_elem(ring, a), oracle_elem(ring, b)
+    for got, want in [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy),
+                      (-x, -ox)]:
+        assert type(got) is type(x) and got.ring == ring
+        assert got.raw == oracle_raw(want)
+    assert bool(x) == bool(ox) and x.is_unit() == ox.is_unit()
+    if n >= 0 or ox.is_unit():
+        assert (x ** n).raw == ring.raw_pow(a, n) == oracle_raw(ox ** n)
+    else:
+        with pytest.raises(NotAUnit):
+            x ** n
+        with pytest.raises(NotAUnit):
+            ox ** n
+    assert (ring.from_int(k).raw, ring.zero().raw, ring.one().raw) == \
+        oracle_constants(ring, k)
+    assert ring.to_raw(x) == a and ring.to_raw(k) == ring.from_int(k).raw
+    assert x == ring.from_raw(a) and hash(x) == hash(ring.from_raw(a))
+
+
+def test_field_and_artin_elements_with_one_raw_stay_apart():
+    """Equality and hashing tell a field element from an Artin element with
+    the same ring and raw value, and from its image in F[eps]/eps^2."""
+    field = make_field(5, 2)
+    A = make_artin_algebra(field, 2)
+    for raw in range(field.q):
+        x, y = FieldElem(field, raw), ArtinElem(field, raw)
+        assert x != y and y != x
+        assert len({x, y}) == 2 and {x: 1}.get(y) is None
+        assert x != A.include(x) and len({x, A.include(x)}) == 2
+
+
+def test_mixing_field_and_artin_elements_raises():
+    field = make_field(3, 2)
+    A = make_artin_algebra(field, 2)
+    other = make_field(2, 2).one()
+    for x in field.elements():
+        for z in (A.include(x), A.eps(), other):
+            for op in (lambda u, v: u + v, lambda u, v: u - v,
+                       lambda u, v: u * v):
+                with pytest.raises(ValueError):
+                    op(x, z)
+                with pytest.raises(ValueError):
+                    op(z, x)
+
+
+F25 = make_field(5, 2)
+A25 = make_artin_algebra(F25, 2)
+REFUSALS = {
+    "series_of_an_artin_element": lambda: LaurentSeries.make(F25, {0: A25.one()}),
+    "series_of_another_field": lambda: LaurentSeries.make(
+        make_field(5), {0: make_field(3).one()}),
+    "ppoly_of_an_artin_element": lambda: PPolynomial.make(F25, {1: A25.one()}),
+    "ppoly_at_another_field": lambda: ppoly_apply(
+        PPolynomial.make(F25, {0: 1, 1: 1}), make_field(3, 2).gen()),
+    "character_of_another_field": lambda: make_character(
+        F25, [make_field(3, 2).gen()], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_elements_of_another_ring_are_refused(case):
+    """An element of another ring is refused where it becomes a raw value,
+    instead of being stored as a foreign raw or read as an index."""
+    with pytest.raises(RingMismatch):
+        REFUSALS[case]()
+
+
+def test_elem_returns_an_element_of_its_own_field():
+    field = make_field(5, 2)
+    for x in field.elements():
+        assert field.elem(x) == x

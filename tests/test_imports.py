@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 parameter of a library function is read by its body, every private
-module-level function is called from somewhere else in the library, and no
+module-level function is called from somewhere else in the library, no
 library module checks an invariant with ``assert``, which ``python -O``
-strips, or with a hand-raised ``AssertionError``, which names no invariant.
+strips, or with a hand-raised ``AssertionError``, which names no invariant,
+and only ``coeffring`` tells a field element from an Artin element.
 
 The import scan skips the package's ``__init__.py``, since its imports are
 the public re-exports, and ``from __future__``.
@@ -175,3 +176,39 @@ def test_assert_scanner_flags_raised_assertion_errors():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_bare_asserts(module):
     assert bare_asserts((SRC / module).read_text()) == []
+
+
+ELEMENT_CLASSES = ("FieldElem", "ArtinElem")
+
+
+def element_ladders(source):
+    """(line, what) for each use of FieldElem or ArtinElem by name, which
+    covers isinstance tests and picks between the two classes, and for
+    each ``.idx`` read, the field-only twin of ``.raw``.  Imports alone,
+    such as the package's re-exports, are not uses."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in ELEMENT_CLASSES:
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr == "idx":
+            out.append((node.lineno, ".idx"))
+    return sorted(out)
+
+
+def test_element_scanner_flags_only_class_ladders():
+    source = ("from .coeffring import ArtinElem, FieldElem, RingElem\n"
+              "def f(ring, x, kernel_idx):\n"
+              "    if isinstance(x, (FieldElem, ArtinElem)):\n"
+              "        return x.raw\n"
+              "    mk = FieldElem if ring.n == 1 else ArtinElem\n"
+              "    y = x.idx if isinstance(x, RingElem) else x.raw\n"
+              "    return ring.from_raw(ring.to_raw(y)), mk, kernel_idx\n")
+    assert element_ladders(source) == [
+        (3, "ArtinElem"), (3, "FieldElem"), (5, "ArtinElem"),
+        (5, "FieldElem"), (6, ".idx")]
+
+
+@pytest.mark.parametrize("module", [name for name in ALL_MODULES
+                                    if name != "coeffring.py"])
+def test_only_coeffring_tells_the_element_classes_apart(module):
+    assert element_ladders((SRC / module).read_text()) == []
