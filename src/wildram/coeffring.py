@@ -168,14 +168,16 @@ class RingDescriptor:
 
     def to_raw(self, x):
         """x as a raw value: an element of this ring unwrapped, an int read
-        as an integer, anything else taken as raw already.  An element of
-        another ring raises RingMismatch."""
+        as an integer, a raw value of this ring (is_raw) kept.  Anything
+        else, an element of another ring among them, raises RingMismatch."""
         if isinstance(x, RingElem):
             if x.ring != self:
                 raise RingMismatch("%r is not an element of %r" % (x, self))
             return x.raw
         if isinstance(x, int):
             return self.raw_from_int(x)
+        if not self.is_raw(x):
+            raise RingMismatch("%r is not a raw value of %r" % (x, self))
         return x
 
     def from_int(self, k):
@@ -271,6 +273,9 @@ class FieldDescriptor(RingDescriptor):
         return self._tables
 
     # -- raw interface (ints) -------------------------------------------------
+
+    def is_raw(self, x):
+        return isinstance(x, int) and 0 <= x < self.q
 
     def raw_zero(self):
         return 0
@@ -445,6 +450,10 @@ class ArtinAlgebraDescriptor(RingDescriptor):
         return hash((self.base, self.n))
 
     # -- raw interface (tuples of ints) ---------------------------------------
+
+    def is_raw(self, x):
+        return (isinstance(x, tuple) and len(x) == self.n
+                and all(map(self.base.is_raw, x)))
 
     def raw_zero(self):
         return (0,) * self.n

@@ -156,36 +156,46 @@ def make_datum(ch, lambda1, delta, a1):
 
 def deformed_rho(rep, ftilde, g, prec):
     """The unique T in A[[t]] with T = rho_g mod m_A and
-    ftilde(T) = lam(g) ftilde + C(g), by the chord iteration along the
-    nilpotent filtration from T = rho_g.  ftilde must reduce to t^-m.
+    ftilde(T) = lam(g) ftilde + C(g), as T = rho_g + delta with delta in
+    m_A[[t]], by the chord iteration along the nilpotent filtration from
+    delta = 0.  ftilde must reduce to t^-m.
 
-    Chord step.  Modulo m_A the Jacobian ftilde'(T) is -m rho_g^(-m-1), so
-    each step adds err rho_g^(m+1) / m to T, err = ftilde(T) - rhs.  The
-    Jacobian is off by m_A only, so if err lies in eps^j the next error lies
-    in eps^(j+1): over eps^n there are at most n evaluations of ftilde(T),
-    n - 1 corrections and a final check.
+    Taylor expansion.  delta^n = 0, so in characteristic p the Taylor
+    formula with Hasse derivatives is exact: ftilde(rho_g + delta) =
+    sum_{k<n} F_k delta^k with F_k = (D^k ftilde)(rho_g), n compositions
+    per call with the field series rho_g.  rho_g is memoized per
+    character, element and precision, so its inverse and its table of
+    powers serve every datum and every step; no series over A is inverted
+    or composed into another.
+
+    Chord step.  Modulo m_A the Jacobian F_1 is -m rho_g^(-m-1), so each
+    step adds err rho_g^(m+1) / m to delta, err = sum F_k delta^k - rhs.
+    The Jacobian is off by m_A only, so if err lies in eps^j the next error
+    lies in eps^(j+1): over eps^n there are at most n - 1 corrections and a
+    final check.  The residue of err is that of F_0 - rhs whatever delta
+    is; if it is not zero where err is known, ftilde does not reduce to
+    t^-m, no nilpotent delta solves the equation, and NoSolution is raised.
 
     Scope.  Over the dual numbers (n = 2) this covers any datum.  Over
-    eps^n with n >= 3 it covers the trivial datum, lam = 1, C = c and
-    ftilde = t^-m, as the deform task lifts it: for non-trivial data the
-    second-order correction can reach t-order 1 - m, so no solution need
-    lie in A[[t]], and the solve raises NoSolution, NotConverged or
-    CompositionDiverges.
+    eps^n with n >= 3 the second-order correction can reach t-order 1 - m
+    for non-trivial data, so no solution need lie in A[[t]]: the solve
+    then raises NoSolution.
 
     Certificate.  The iteration stops once err vanishes below
     t^(prec - m - 1): the eps-linear part of err is -m rho_g^(-m-1) times
     the error of T, so this fixes T mod t^prec.  T is returned only if the
     series operations track err as known to t^(prec - m - 1) and T as known
-    to t^prec, and only if T has no pole.
+    to t^prec, min(T.prec, err.prec + m + 1) >= prec, and T has no pole.
 
     Working precision.  Let a = -ftilde.lead and gap = max(0, a - m), how
     far the nilpotent terms of ftilde reach below its reduced valuation -m.
-    compose(ftilde, T) is known a + 1 below T.prec, so the window needs T
-    known to prec + gap, and each correction, err times a series of lead
-    m + 1, is known gap below T.prec.  The solve starts at prec + n gap.  A
-    run that falls short is repeated from rho_g with the working precision
-    raised by its whole loss, work minus the precision it certified; the
-    solve fails when a rerun certifies no more.
+    F_0 is known a + 1 below rho_g.prec, so the window needs rho_g known
+    to prec + gap.  A correction, err times a series of lead m + 1, can
+    reach down to t^(1 - gap), so through F_1 delta each one leaves the
+    next error known gap less.  The solve starts at prec + n gap.  A run
+    that falls short is repeated with the working precision raised by its
+    whole loss, work minus the precision it certified; the solve fails
+    when a rerun certifies no more.
     """
     A, ch = rep.A, rep.ch
     n, m = A.n, ch.m
@@ -194,20 +204,29 @@ def deformed_rho(rep, ftilde, g, prec):
         LaurentSeries.make(A, {0: rep.C[g.exps]}, INF)
     field = ch.field
     minv = field.raw_inv(field.raw_from_int(m))
+    derivs = [ftilde] + [ftilde.derivative(k) for k in range(1, n)]
     work = prec + n * gap
     before = -INF
     while True:
         rho = build_rho(ch, g, work)
         chord = rho.pow(m + 1).scale(minv).lift_ring(A)
-        T = rho.lift_ring(A)
+        F = [compose(d, rho) for d in derivs]
+        F[0] = F[0] - rhs
+        if not F[0].residue().is_zero():
+            raise NoSolution("the equation does not reduce to the one rho_g "
+                             "solves: ftilde must reduce to t^-m")
+        delta = LaurentSeries.zero(A)
         for _ in range(n):
-            err = compose(ftilde, T) - rhs
+            err = F[-1]
+            for Fk in reversed(F[:-1]):
+                err = Fk + err * delta
             if err.truncate(prec - m - 1).is_zero():
                 break
-            T = T + err * chord
+            delta = delta + err * chord
         else:
             raise NoSolution("chord iteration for the deformed automorphism "
                              "did not converge")
+        T = rho.lift_ring(A) + delta
         reached = min(T.prec, err.prec + m + 1)
         if reached >= prec:
             if T.lead < 0:

@@ -15,13 +15,16 @@ two powers already there.  inner^j is cut to the precision that j steps of
 dense Horner evaluation reach, so the sum carries the precision a Horner
 loop over every exponent of the outer would.  The group law and the
 obstruction cocycle compose |V|^2 outers with |V| inners: each power is
-computed once per inner, not once per pair.
+computed once per inner, not once per pair.  The inner may be a series over
+the residue field of the outer's Artin ring, so that every outer over any
+F_q[eps]/eps^n shares the field inner's table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import comb
 from operator import itemgetter
 
 from .coeffring import ArtinAlgebraDescriptor, RingMismatch, ring_is_field
@@ -241,14 +244,17 @@ class LaurentSeries:
         return LaurentSeries._clean(self.ring, {e + k: c for e, c in self.coeffs.items()},
                                     self.prec + k if self.prec < INF else INF)
 
-    def derivative(self):
+    def derivative(self, k=1):
+        """The k-th Hasse derivative: t^e -> binom(e, k) t^(e - k), with
+        binom(e, k) = (-1)^k binom(k - e - 1, k) for negative e."""
         r = self.ring
         out = {}
         for e, c in self.coeffs.items():
-            m = r.raw_mul(c, r.raw_from_int(e % r.p))
+            b = comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
+            m = r.raw_mul(c, r.raw_from_int(b))
             if not r.raw_is_zero(m):
-                out[e - 1] = m
-        return LaurentSeries(r, out, self.prec - 1 if self.prec < INF else INF)
+                out[e - k] = m
+        return LaurentSeries(r, out, self.prec - k if self.prec < INF else INF)
 
     def pow(self, n):
         if n < 0:
@@ -391,15 +397,18 @@ def compose(outer, inner):
 
     inner must have reduced valuation >= 1; negative powers of inner go
     through invert_unit_series (so inner's reduction must be nonzero).
-    The result is the sum of c_j inner^j over the terms c_j t^j of outer,
-    each power read from the table of powers that inner owns
-    (_table_powers), inner^(-j) as a power of one 1/inner kept there too.
-    Its precision is the least of its powers', and at most cap, what the
-    precision of outer allows.
+    inner is over outer's ring, or over the residue field of outer's
+    Artin ring, which gives what its zero-padded lift would, coefficients
+    and precision alike.  The result is the sum of c_j inner^j over the
+    terms c_j t^j of outer, each power read from the table of powers that
+    inner owns (_table_powers), inner^(-j) as a power of one 1/inner kept
+    there too.  Its precision is the least of its powers', and at most
+    cap, what the precision of outer allows, with the nilpotency of
+    inner's ring.
     """
-    if outer.ring != inner.ring:
+    r, ir = outer.ring, inner.ring
+    if ir != r and (ring_is_field(r) or ir != r.base):
         raise RingMismatch("incompatible coefficient rings")
-    r = outer.ring
     if inner.is_zero():
         if outer.lead < 0:
             raise CompositionDiverges("inner series is zero")
@@ -411,7 +420,7 @@ def compose(outer, inner):
     if rv < 1:
         raise CompositionDiverges("inner valuation must be >= 1")
 
-    nil = r.nilpotency
+    nil = ir.nilpotency
     if outer.prec >= INF:
         cap = INF
     else:
@@ -427,7 +436,7 @@ def compose(outer, inner):
     # Horner loop over every exponent does: INF + L below INF for an
     # inexact inner of lead L < 0.
     start = INF if inner.prec >= INF else INF + min(0, inner.lead)
-    powers = [LaurentSeries.one(r, start)] if 0 in outer.coeffs else []
+    powers = [LaurentSeries.one(ir, start)] if 0 in outer.coeffs else []
     powers += _table_powers(table, inner, 1, start, pos)
     if neg:
         inv = table.get(-1)
@@ -449,19 +458,21 @@ def compose(outer, inner):
     add, mul = (r if field else r.base).tables()[:2]
     n = 1 if field else r.n
     acc = [[0] * span for _ in range(n)]
+    # eps^i c_i times eps^j v_j lands in eps-component i + j if i + j < n;
+    # a power over the residue field has v = v_0 only
+    inner_field = ring_is_field(ir)
     for x, c in terms:
-        if field:
-            out, row = acc[0], mul[c]
-            for e, v in x.coeffs.items():
-                k = e - lo
-                if k < span:
-                    out[k] = add[out[k]][row[v]]
-            continue
-        # eps^i c_i times eps^j v_j lands in eps-component i + j if i + j < n
-        for i, ci in enumerate(c):
+        for i, ci in enumerate([c] if field else c):
             if not ci:
                 continue
             row = mul[ci]
+            if inner_field:
+                out = acc[i]
+                for e, v in x.coeffs.items():
+                    k = e - lo
+                    if k < span:
+                        out[k] = add[out[k]][row[v]]
+                continue
             for e, v in x.coeffs.items():
                 k = e - lo
                 if k >= span:

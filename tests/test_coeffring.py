@@ -259,6 +259,38 @@ def test_elements_of_another_ring_are_refused(case):
         REFUSALS[case]()
 
 
+F5 = make_field(5)
+A9_3 = make_artin_algebra(make_field(3, 2), 3)
+MALFORMED_RAWS = {
+    "field_tuple": (F5, (1, 0)), "field_list": (F5, [1]),
+    "field_str": (F5, "1"), "field_float": (F5, 1.0), "field_none": (F5, None),
+    "artin_short": (A9_3, (1, 0)), "artin_long": (A9_3, (1, 0, 0, 0)),
+    "artin_out_of_range": (A9_3, (9, 0, 0)), "artin_negative": (A9_3, (-1, 0, 0)),
+    "artin_float_entry": (A9_3, (1.0, 0, 0)), "artin_list": (A9_3, [1, 0, 0]),
+    "artin_float": (A9_3, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RAWS))
+def test_malformed_raw_values_are_refused(case):
+    """Over a field only elements and ints become raw values; over
+    F_q[eps]/eps^n also n-tuples of ints in range(q).  Anything else is
+    refused where it becomes a raw value, not stored for a later product
+    to fail on."""
+    ring, value = MALFORMED_RAWS[case]
+    with pytest.raises(RingMismatch):
+        ring.to_raw(value)
+    with pytest.raises(RingMismatch):
+        LaurentSeries.make(ring, {0: value}, 5)
+
+
+def test_raw_artin_tuples_are_kept():
+    for raw in itertools.product((0, 1, 8), repeat=3):
+        assert A9_3.to_raw(raw) == raw
+    s = LaurentSeries.make(A9_3, {0: (1, 2, 0), 1: (0, 8, 3)}, 5)
+    assert (s * s).coeff(0) == A9_3.raw_mul((1, 2, 0), (1, 2, 0))
+
+
 def test_elem_returns_an_element_of_its_own_field():
     field = make_field(5, 2)
     for x in field.elements():

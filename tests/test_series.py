@@ -3,12 +3,18 @@ reversion and Weierstrass preparation."""
 
 import sys
 import threading
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wildram.autoreps import build_rho
-from wildram.coeffring import make_artin_algebra, make_field, ring_is_field
+from wildram.coeffring import (
+    RingMismatch,
+    make_artin_algebra,
+    make_field,
+    ring_is_field,
+)
 from wildram.series import (
     INF,
     CompositionDiverges,
@@ -424,6 +430,105 @@ def test_compose_multiplies_an_accumulator_with_no_known_term():
     exact = LaurentSeries.make(A, {-4: 1, -5: eps * A.from_int(-4)})
     got = compose(LaurentSeries.t_power(A, -4), inner)
     assert got.eq_to_prec(exact)
+
+
+F5_EPS2 = make_artin_algebra(F5, 2)
+F5_EPS3 = make_artin_algebra(F5, 3)
+F9_EPS2 = make_artin_algebra(F9, 2)
+MIXED_RINGS = [F5_EPS2, F5_EPS3, F9_EPS2, F9_EPS3]
+MIXED_IDS = ["F5_eps2", "F5_eps3", "F9_eps2", "F9_eps3"]
+
+
+@pytest.mark.parametrize("ring", MIXED_RINGS, ids=MIXED_IDS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_compose_with_a_residue_field_inner_matches_the_lifted_inner(ring, data):
+    """An inner over the residue field of the outer's ring gives what its
+    zero-padded lift gives, coefficients and precision, over sparse outers
+    with poles and finite or INF precision, two outers per inner so that
+    the second reads the table the first filled."""
+    inner = data.draw(ring_series(ring.base, lo=1, hi=6))
+    outers = [data.draw(sparse_outer(ring)) for _ in range(2)]
+    if inner.prec >= INF and any(o.lead < 0 for o in outers):
+        inner = inner.truncate(data.draw(st.integers(inner.lead + 1, 14)))
+    lifted = inner.lift_ring(ring)
+    for outer in outers:
+        try:
+            want = compose(outer, lifted)
+        except (CompositionDiverges, NotConverged) as exc:
+            with pytest.raises(type(exc)):
+                compose(outer, inner)
+            continue
+        got = compose(outer, inner)
+        assert got.ring == ring
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_compose_refuses_an_inner_over_another_ring():
+    rho = LaurentSeries.make(F5, {1: 1, 3: 2}, 9)
+    for outer, inner in [(LaurentSeries.make(F5, {-1: 1}, 9), rho.lift_ring(F5_EPS2)),
+                         (LaurentSeries.make(F9_EPS2, {-1: 1}, 9), rho),
+                         (LaurentSeries.make(F9_EPS3, {-1: 1}, 9),
+                          rho.lift_ring(F5_EPS2))]:
+        with pytest.raises(RingMismatch):
+            compose(outer, inner)
+
+
+def first_derivative(a):
+    """Reference: the derivative t^e -> e t^(e-1) as the only derivative
+    was computed before the Hasse derivatives."""
+    r = a.ring
+    out = {}
+    for e, c in a.coeffs.items():
+        m = r.raw_mul(c, r.raw_from_int(e % r.p))
+        if not r.raw_is_zero(m):
+            out[e - 1] = m
+    return LaurentSeries(r, out, a.prec - 1 if a.prec < INF else INF)
+
+
+@pytest.mark.parametrize("ring", [F5, F9, F4_EPS2, F9_EPS3],
+                         ids=["F5", "F9", "F4_eps2", "F9_eps3"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_hasse_derivatives(ring, data):
+    """D^1 is the derivative; D^k D^l = binom(k + l, k) D^(k + l), with
+    precision prec - k - l on both sides."""
+    a = data.draw(ring_series(ring, lo=-12, hi=12))
+    k, l = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    d1, want = a.derivative(), first_derivative(a)
+    assert (d1.coeffs, d1.prec) == (want.coeffs, want.prec)
+    assert a.derivative(1) == d1 and a.derivative(0) == a
+    lhs = a.derivative(l).derivative(k)
+    rhs = a.derivative(k + l).scale(comb(k + l, k))
+    assert (lhs.coeffs, lhs.prec) == (rhs.coeffs, rhs.prec)
+
+
+@pytest.mark.parametrize("ring", MIXED_RINGS, ids=MIXED_IDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_taylor_sum_matches_direct_composition(ring, data):
+    """f(rho + delta) = sum_{k<n} (D^k f)(rho) delta^k for delta in
+    eps A[[t]] with no term below the reduced valuation of rho: the sum of
+    mixed-ring compositions with the field series rho agrees with a direct
+    compose with rho + delta where the latter is known, and knows as much."""
+    comp = st.integers(0, ring.base.q - 1)
+    v = data.draw(st.integers(1, 4))
+    terms = data.draw(st.dictionaries(st.integers(v + 1, 14), comp, max_size=5))
+    terms[v] = data.draw(st.integers(1, ring.base.q - 1))
+    rho = LaurentSeries(ring.base, terms, data.draw(st.integers(v + 1, 24)))
+    nil = st.tuples(st.just(0), *[comp] * (ring.n - 1))
+    delta = LaurentSeries(ring, data.draw(st.dictionaries(
+        st.integers(rho.lead, 12), nil, max_size=5)), rho.prec)
+    outer = data.draw(sparse_outer(ring))
+    try:
+        want = compose(outer, rho.lift_ring(ring) + delta)
+    except NotConverged:
+        return
+    got, power = LaurentSeries.zero(ring), LaurentSeries.one(ring)
+    for k in range(ring.n):
+        got = got + compose(outer.derivative(k), rho) * power
+        power = power * delta
+    assert got.eq_to_prec(want) and got.prec >= want.prec
 
 
 def test_revert_roundtrip():
