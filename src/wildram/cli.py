@@ -218,15 +218,11 @@ def task_deform(job):
     window = deform.deformation_window(ch.m)
     lifts = {i: deform.deformed_rho(rep0, ft0, ch.generator(i), window)
              for i in range(1, ch.s + 1)}
-    out = {"samples": DEFORM_SAMPLES, "formula_matches": matches,
-           "valid_reps": valid}
-    try:
-        obs = deform.obstruction_two_cocycle(rep0, lifts)
-    except cohomology.TooLarge:  # no H^2 engine: report the samples alone
-        return dict(out, ok=matches == DEFORM_SAMPLES)
-    return dict(out, obstruction_zero=obs["identically_zero"],
-                obstruction_coboundary=obs["vanishes_in_H2"],
-                ok=matches == DEFORM_SAMPLES and obs["identically_zero"])
+    obs = deform.obstruction_two_cocycle(rep0, lifts)
+    return {"samples": DEFORM_SAMPLES, "formula_matches": matches,
+            "valid_reps": valid, "obstruction_zero": obs["identically_zero"],
+            "obstruction_coboundary": obs["vanishes_in_H2"],
+            "ok": matches == DEFORM_SAMPLES and obs["identically_zero"]}
 
 
 def task_predicates(job):

@@ -16,12 +16,13 @@ product of the periodic resolutions of the s cyclic factors.  On T,
 representatives off one echelon form per graded component; the basis is
 given in T's graded coordinates, not as cochains of M.  On M, `is_cocycle`,
 the coboundaries behind `cocycle_class_vector`, the dimension of H^2 and
-the coboundary test for 2-cochains given on all pairs of group elements,
-such as the obstruction cocycles, all read its differentials; the last
-pulls the cochain back along the chain map from the periodic resolutions
-to the bar resolution.  Alongside sit the closed dimension formula of
-H^1(V, T), the cyclic basis, the splitting criterion and the Krull
-dimension of the unobstructed locus.
+the coboundary tests all read its differentials: `d1_preimage` on the
+relations of V, such as the defects of an obstruction, and
+`H2Engine.is_coboundary` on all pairs of group elements, pulled back along
+the chain map from the periodic resolutions to the bar resolution.
+Alongside sit the closed dimension formula of H^1(V, T), the cyclic
+basis, the splitting criterion and the Krull dimension of the unobstructed
+locus.
 """
 
 from __future__ import annotations
@@ -398,10 +399,19 @@ def krull_dimension_sigma(p, m):
 
 # -- brute-force H^2 ----------------------------------------------------------
 
+def d1_preimage(ch, blocks):
+    """A 1-cochain gamma with d^1 gamma the 2-cochain whose blocks, in the
+    order of _multi_indices(s, 2), are the given PolePartClass values;
+    None when there is none."""
+    d1 = _complex(ch.field, _generator_actions(ch), 1)[1]
+    gamma = linalg.solve(ch.field, d1, [x for b in blocks for x in b.vector()])
+    return None if gamma is None else OneCochain.from_vector(ch, gamma)
+
+
 class H2Engine:
     """H^2 from the generator complex, and the coboundary test for
-    2-cochains given on pairs of group elements, such as the obstruction
-    tables, decided through the same complex."""
+    2-cochains given on pairs of group elements, decided through the same
+    complex."""
 
     def __init__(self, ch):
         if ch.order() > 27:
@@ -434,7 +444,7 @@ class H2Engine:
             return table.get((g, h), zero)
 
         gens = [ch.generator(i).exps for i in range(1, ch.s + 1)]
-        target = []
+        blocks = []
         for a in _multi_indices(ch.s, 2):
             j, *k = [i for i, x in enumerate(a) if x]
             if k:
@@ -443,17 +453,15 @@ class H2Engine:
                 val = zero
                 for i in range(ch.p):
                     val = val + f(group_pow(ch, ch.generator(j + 1), i).exps, gens[j])
-            target.extend(val.vector())
-        d1 = _complex(ch.field, self._gens, 1)[1]
-        gamma = linalg.solve(ch.field, d1, target)
+            blocks.append(val)
+        gamma = d1_preimage(ch, blocks)
         if gamma is None:
             return False
-        gamma = OneCochain.from_vector(ch, gamma).vals
         one = ch.identity().exps
         beta = {one: f(one, one)}
         for g, i, rest in peeled(ch):
-            beta[g.exps] = gamma[i] if rest.is_identity() else (
-                self._act(gens[i], beta[rest.exps]) + gamma[i]
+            beta[g.exps] = gamma.vals[i] if rest.is_identity() else (
+                self._act(gens[i], beta[rest.exps]) + gamma.vals[i]
                 - f(gens[i], rest.exps))
         return all(v.vector() == f(*gh).vector()
                    for gh, v in self.d1_of(beta).items())

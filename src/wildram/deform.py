@@ -15,15 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .autoreps import (
-    additive_value,
-    build_rho,
-    character_value,
-    group_mul,
-    peeled,
-)
+from .autoreps import additive_value, build_rho, character_value, peeled
 from .coeffring import make_artin_algebra
-from .cohomology import H2Engine, OneCochain, PolePartClass, is_cocycle
+from .cohomology import OneCochain, PolePartClass, d1_preimage, is_cocycle
 from .series import (
     INF,
     LaurentSeries,
@@ -172,9 +166,10 @@ def deformed_rho(rep, ftilde, g, prec):
     step adds err rho_g^(m+1) / m to delta, err = sum F_k delta^k - rhs.
     The Jacobian is off by m_A only, so if err lies in eps^j the next error
     lies in eps^(j+1): over eps^n there are at most n - 1 corrections and a
-    final check.  The residue of err is that of F_0 - rhs whatever delta
-    is; if it is not zero where err is known, ftilde does not reduce to
-    t^-m, no nilpotent delta solves the equation, and NoSolution is raised.
+    final check.  Unless ftilde reduces to t^-m below ftilde.prec, no
+    nilpotent delta solves the equation: NoSolution is raised before any
+    composition, and again if the residue of err, that of F_0 - rhs
+    whatever delta is, does not vanish where err is known.
 
     Scope.  Over the dual numbers (n = 2) this covers any datum.  Over
     eps^n with n >= 3 the second-order correction can reach t-order 1 - m
@@ -203,6 +198,8 @@ def deformed_rho(rep, ftilde, g, prec):
     rhs = ftilde.scale(rep.lam[g.exps]) + \
         LaurentSeries.make(A, {0: rep.C[g.exps]}, INF)
     field = ch.field
+    if not ftilde.residue().eq_to_prec(LaurentSeries.t_power(field, -m, INF)):
+        raise NoSolution("ftilde must reduce to t^-m")
     minv = field.raw_inv(field.raw_from_int(m))
     derivs = [ftilde] + [ftilde.derivative(k) for k in range(1, n)]
     work = prec + n * gap
@@ -300,53 +297,49 @@ def cocycle_formula_cochain(datum):
                             for i in range(1, datum.ch.s + 1)))
 
 
-def obstruction_two_cocycle(repA2, lifts):
-    """The 2-cocycle measuring failure of per-generator lifts to compose,
-    across the small extension A' -> A with kernel eps^{n-1}.
+def obstruction_two_cocycle(rep, lifts):
+    """The obstruction to lifting generator lifts across the small extension
+    A' -> A with kernel eps^{n-1}, read off the relations of V = (Z/p)^s.
 
-    lifts maps generator index (1-based) to a series over A' reducing to the
-    deformed automorphism over A; entries keyed by an exps tuple override
-    the lift of that single group element.  Remaining elements are filled
-    by peeling generators.  With rho~_g rho~_h = (t + eps^{n-1} h) o rho~_gh,
-    the pole parts h / t^{m+1} form the cochain.  They read h mod t^{m+1}
-    only, and rho~_g rho~_h - rho~_gh = eps^{n-1} h(rho_gh), where
-    h(rho_gh) = h mod t^{m+1} for h in k[[t]] since rho_gh = t mod t^{m+1}:
-    so the eps^{n-1} part of the difference gives the cochain, with no
-    reversion and no composition by rho_gh^{-1}."""
-    A, ch = repA2.A, repA2.ch
-    engine = H2Engine(ch)  # raises TooLarge before any composition
-    prec = deformation_window(ch.m)
-    kernel_idx = A.n - 1
+    lifts maps each generator index i (1-based) to a series over A'
+    reducing to the deformed automorphism of sigma_i over A.  The relation
+    defects lift_j^{o p} - t and lift_j o lift_k - lift_k o lift_j, j < k,
+    take s(p-1) + s(s-1) compositions and must vanish below eps^{n-1}.
+    Their eps^{n-1} parts h are read as the pole parts of h / t^{m+1}, in
+    the order of the blocks 2e_j and e_j + e_k of C^2 of the generator
+    complex.  They are exactly the pullback of the bar 2-cocycle f of the
+    lifts filled over V by the peel, rho~_g rho~_h = (t + eps^{n-1} f(g, h))
+    o rho~_gh: sum_i f(sigma_j^i, sigma_j) telescopes to the power defect
+    and f(sigma_j, sigma_k) - f(sigma_k, sigma_j) is the commutator.  Each
+    value of f is a sum of translates of defects, so f vanishes when they
+    do, and f is a coboundary exactly when they lie in the image of d^1."""
+    A, ch = rep.A, rep.ch
+    m, top = ch.m, A.n - 1
     for i in range(1, ch.s + 1):
         res = lifts[i].residue()
         if not res.eq_to_prec(build_rho(ch, ch.generator(i), res.prec)):
             raise ReductionMismatch("lift %d does not reduce to rho" % i)
-    one = ch.identity().exps
-    lift = {one: lifts.get(one, LaurentSeries.t_power(A, 1, INF))}
-    for g, i, rest in peeled(ch):
-        lift[g.exps] = (lifts[g.exps] if g.exps in lifts
-                        else compose(lifts[i + 1], lift[rest.exps]))
-    lift = {e: T.truncate(prec) for e, T in lift.items()}
-
-    table = {}
-    zero = True
-    for g in ch.group():
-        for h in ch.group():
-            gh = group_mul(ch, g, h)
-            diff = compose(lift[g.exps], lift[h.exps]) - lift[gh.exps]
-            if diff.prec < ch.m + 2:
-                raise ReductionMismatch("insufficient precision in the lifts")
-            for j in range(kernel_idx):
-                if not diff.eps_component(j).is_zero():
-                    raise ReductionMismatch(
-                        "lifts do not agree below the kernel level")
-            hh = diff.eps_component(kernel_idx)
-            val = PolePartClass.from_series(ch, hh.shift(-(ch.m + 1)))
-            table[(g.exps, h.exps)] = val
-            zero = zero and val.is_zero()
-    return {"cochain": table,
-            "identically_zero": zero,
-            "vanishes_in_H2": engine.is_coboundary(table)}
+    gens = [lifts[i].truncate(deformation_window(m)) for i in range(1, ch.s + 1)]
+    t = LaurentSeries.t_power(A, 1, INF)
+    relations = []
+    for j, L in enumerate(gens):
+        power = L
+        for _ in range(ch.p - 1):
+            power = compose(power, L)
+        relations.append(power - t)
+        relations.extend(compose(L, K) - compose(K, L) for K in gens[j + 1:])
+    defects = []
+    for diff in relations:
+        if diff.prec < m + 2:
+            raise ReductionMismatch("insufficient precision in the lifts")
+        if any(not diff.eps_component(j).is_zero() for j in range(top)):
+            raise ReductionMismatch(
+                "lifts do not satisfy the relations of V below the kernel level")
+        defects.append(PolePartClass.from_series(
+            ch, diff.eps_component(top).shift(-(m + 1))))
+    return {"defects": defects,
+            "identically_zero": all(d.is_zero() for d in defects),
+            "vanishes_in_H2": d1_preimage(ch, defects) is not None}
 
 
 def lifting_predicates(p, s, m):

@@ -13,9 +13,9 @@ series, reading every power from a table of powers that the inner series
 owns and fills on demand, in ascending j, each new power by one product of
 two powers already there.  inner^j is cut to the precision that j steps of
 dense Horner evaluation reach, so the sum carries the precision a Horner
-loop over every exponent of the outer would.  The group law and the
-obstruction cocycle compose |V|^2 outers with |V| inners: each power is
-computed once per inner, not once per pair.  The inner may be a series over
+loop over every exponent of the outer would.  The group law composes
+|V|^2 outers with |V| inners: each power is computed once per inner, not
+once per pair.  The inner may be a series over
 the residue field of the outer's Artin ring, so that every outer over any
 F_q[eps]/eps^n shares the field inner's table.
 """

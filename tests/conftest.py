@@ -5,8 +5,12 @@ from math import comb
 
 import pytest
 
-from wildram.autoreps import make_character
+from wildram.ascover import ReductionMismatch
+from wildram.autoreps import build_rho, group_mul, make_character, peeled
 from wildram.coeffring import make_field
+from wildram.cohomology import PolePartClass
+from wildram.deform import deformation_window
+from wildram.series import INF, LaurentSeries, compose
 
 
 def grid_points(max_m=20):
@@ -43,6 +47,45 @@ def small_grid():
 # Cover points of the ascover and addpoly tests.
 COVER_GRID = [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2),
               (2, 2, 5), (3, 2, 4), (5, 2, 2)]
+
+
+def bar_obstruction_table(rep, lifts):
+    """Oracle: the obstruction 2-cocycle on all |V|^2 pairs of group
+    elements, as a dict (g.exps, h.exps) -> PolePartClass.
+
+    lifts maps generator index (1-based) to a series over A' reducing to
+    the deformed automorphism over A; entries keyed by an exps tuple
+    override the lift of that single group element, and the others are
+    filled by peeling generators.  With rho~_g rho~_h = (t + eps^{n-1} h) o
+    rho~_gh, entry (g, h) is the pole part of h / t^{m+1}, read off the
+    eps^{n-1} part of rho~_g rho~_h - rho~_gh = eps^{n-1} h(rho_gh), since
+    h(rho_gh) = h mod t^{m+1} for h in k[[t]]."""
+    A, ch = rep.A, rep.ch
+    prec = deformation_window(ch.m)
+    top = A.n - 1
+    for i in range(1, ch.s + 1):
+        res = lifts[i].residue()
+        if not res.eq_to_prec(build_rho(ch, ch.generator(i), res.prec)):
+            raise ReductionMismatch("lift %d does not reduce to rho" % i)
+    one = ch.identity().exps
+    lift = {one: lifts.get(one, LaurentSeries.t_power(A, 1, INF))}
+    for g, i, rest in peeled(ch):
+        lift[g.exps] = (lifts[g.exps] if g.exps in lifts
+                        else compose(lifts[i + 1], lift[rest.exps]))
+    lift = {e: T.truncate(prec) for e, T in lift.items()}
+    table = {}
+    for g in ch.group():
+        for h in ch.group():
+            gh = group_mul(ch, g, h)
+            diff = compose(lift[g.exps], lift[h.exps]) - lift[gh.exps]
+            if diff.prec < ch.m + 2:
+                raise ReductionMismatch("insufficient precision in the lifts")
+            if any(not diff.eps_component(j).is_zero() for j in range(top)):
+                raise ReductionMismatch(
+                    "lifts do not agree below the kernel level")
+            table[(g.exps, h.exps)] = PolePartClass.from_series(
+                ch, diff.eps_component(top).shift(-(ch.m + 1)))
+    return table
 
 
 def laplace_det(ring, mat):

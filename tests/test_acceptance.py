@@ -23,7 +23,7 @@ from wildram.autoreps import build_rho, make_character, verify_group_law
 from wildram.coeffring import make_artin_algebra, make_field
 from wildram.series import INF, LaurentSeries, compose, invert_unit_series
 
-from conftest import character_for, grid_points
+from conftest import bar_obstruction_table, character_for, grid_points
 
 GRID = list(grid_points(20))
 
@@ -232,7 +232,9 @@ def test_08_obstruction_vanishes_for_straight_lifts():
             obs = deform.obstruction_two_cocycle(rep, lifts)
             if not (obs["identically_zero"] and obs["vanishes_in_H2"]):
                 ok = False
-    # a deliberately perturbed lift: nonzero 2-cocycle, still a coboundary
+    # a deliberately perturbed lift of sigma^2: nonzero 2-cocycle, still a
+    # coboundary.  The library takes generator lifts only, so the table
+    # with the sigma^2 override comes from the bar oracle.
     from wildram.autoreps import group_mul
     for p, s, m in [(3, 1, 2), (2, 1, 3)]:
         ch = character_for(p, s, m)
@@ -245,9 +247,23 @@ def test_08_obstruction_vanishes_for_straight_lifts():
         gg = group_mul(ch, g, g)
         bump = LaurentSeries.make(A, {1: A.eps()}, INF)
         lifts[gg.exps] = compose(lifts[1], lifts[1]) + bump
-        obs = deform.obstruction_two_cocycle(rep, lifts)
-        if obs["identically_zero"] or not obs["vanishes_in_H2"]:
+        table = bar_obstruction_table(rep, lifts)
+        if (all(v.is_zero() for v in table.values())
+                or not cohomology.H2Engine(ch).is_coboundary(table)):
             ok = False
+    # a perturbed generator lift: nonzero relation defects, still a
+    # coboundary
+    ch = character_for(5, 2, 3)
+    A = make_artin_algebra(ch.field, 2)
+    rep = deform.trivial_rep(A, ch)
+    window = 3 * (ch.m + 2)
+    ft = LaurentSeries.t_power(A, -ch.m, 8 * window)
+    lifts = {i: deform.deformed_rho(rep, ft, ch.generator(i), window)
+             for i in range(1, ch.s + 1)}
+    lifts[1] = lifts[1] + LaurentSeries.make(A, {0: A.eps()}, INF)
+    obs = deform.obstruction_two_cocycle(rep, lifts)
+    if obs["identically_zero"] or not obs["vanishes_in_H2"]:
+        ok = False
     report(8, "obstruction zero for lifts, coboundary when bumped", ok)
 
 

@@ -16,7 +16,13 @@ from wildram.autoreps import (
     group_pow,
     make_character,
 )
-from wildram.cohomology import OneCochain, PolePartClass, TooLarge, classes_equal
+from wildram.cohomology import (
+    H2Engine,
+    OneCochain,
+    PolePartClass,
+    _multi_indices,
+    classes_equal,
+)
 from wildram.coeffring import ArtinElem, make_artin_algebra, make_field
 from wildram.deform import (
     DeformationDatum,
@@ -35,7 +41,7 @@ from wildram.deform import (
 )
 from wildram.series import INF, LaurentSeries, compose, invert_unit_series, revert
 
-from conftest import character_for, small_grid
+from conftest import bar_obstruction_table, character_for, small_grid
 
 
 def seeded_datum(ch, rng):
@@ -370,12 +376,15 @@ def test_tangent_extraction_composes_only_with_the_memoized_rho(monkeypatch):
     assert not inversions
 
 
-@pytest.mark.parametrize("terms", [{-3: 1, -1: 1}, {-3: 2}, {-3: 1, 2: 1}],
-                         ids=["t-3+t-1", "2t-3", "t-3+t2"])
+@pytest.mark.parametrize("terms", [{-3: 1, -1: 1}, {-3: 2}, {-3: 1, 2: 1},
+                                   {-3: 1, 9: 1}],
+                         ids=["t-3+t-1", "2t-3", "t-3+t2", "t-3+t9"])
 def test_deformed_rho_refuses_ftilde_not_reducing_to_t_minus_m(terms):
     """The Taylor expansion around rho_g needs delta = T - rho_g nilpotent,
-    so ftilde must reduce to t^-m: otherwise the residue of the error is
-    nonzero and the solve refuses, whatever the truncated sum gives."""
+    so ftilde must reduce to t^-m: otherwise the solve refuses, whatever
+    the truncated sum gives.  The t^9 term lies above the window in which
+    the error is read for T mod t^15, so only ftilde's own residue, known
+    to t^40, shows it."""
     ch = character_for(5, 1, 3)
     A = make_artin_algebra(ch.field, 2)
     ftilde = LaurentSeries.make(A, terms, 40)
@@ -602,7 +611,7 @@ def test_obstruction_vanishes_for_straight_lifts(order):
 
 def test_perturbed_lift_gives_nonzero_coboundary():
     """Perturbing one element's lift inside the kernel produces a nonzero
-    2-cocycle that is still a coboundary."""
+    bar 2-cocycle that is still a coboundary."""
     ch = character_for(3, 1, 2)
     A = make_artin_algebra(ch.field, 2)
     rep = trivial_rep(A, ch)
@@ -610,14 +619,13 @@ def test_perturbed_lift_gives_nonzero_coboundary():
     ft = LaurentSeries.t_power(A, -ch.m, 8 * window)
     lifts = {1: deformed_rho(rep, ft, ch.generator(1), window)}
     g2 = ch.generator(1)
-    from wildram.autoreps import group_mul
     gg = group_mul(ch, g2, g2)
     base = compose(lifts[1], lifts[1])
     bump = LaurentSeries.make(A, {1: A.eps()}, INF)
     lifts[gg.exps] = base + bump
-    obs = obstruction_two_cocycle(rep, lifts)
-    assert not obs["identically_zero"]
-    assert obs["vanishes_in_H2"]
+    table = bar_obstruction_table(rep, lifts)
+    assert any(not v.is_zero() for v in table.values())
+    assert H2Engine(ch).is_coboundary(table)
 
 
 def peeled_lift(lifts, exps):
@@ -683,38 +691,103 @@ def test_obstruction_table_matches_reversion(p, s, m):
             bump = LaurentSeries.make(A, {rng.randrange(1, m + 1): A.from_raw(top)}, INF)
             cases.append(({**lifts, exps: peeled_lift(lifts, exps) + bump}, True))
         for case, bumped in cases:
-            got = obstruction_two_cocycle(rep, case)["cochain"]
+            got = bar_obstruction_table(rep, case)
             assert got == reverted_obstruction_table(rep, case, 3 * (m + 2))
             assert any(not v.is_zero() for v in got.values()) == bumped
 
 
+def bar_pullback(ch, table):
+    """The bar 2-cochain's pullback to C^2 of the generator complex, in the
+    order of _multi_indices(s, 2): sum_i f(sigma_j^i, sigma_j) on block
+    2e_j and f(sigma_j, sigma_k) - f(sigma_k, sigma_j) on e_j + e_k."""
+    gens = [ch.generator(i) for i in range(1, ch.s + 1)]
+    out = []
+    for a in _multi_indices(ch.s, 2):
+        j, *k = [i for i, x in enumerate(a) if x]
+        g = gens[j].exps
+        if k:
+            h = gens[k[0]].exps
+            out.append(table[(g, h)] - table[(h, g)])
+        else:
+            val = PolePartClass.zero(ch)
+            for i in range(ch.p):
+                val = val + table[(group_pow(ch, gens[j], i).exps, g)]
+            out.append(val)
+    return out
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 3),
+                                   (3, 2, 2), (5, 2, 3), (3, 2, 4)])
+def test_relation_defects_match_the_bar_table(p, s, m):
+    """The relation defects of the generator lifts are the pullback of the
+    bar table, entry for entry, and decide the obstruction as the table
+    does: for straight lifts over eps^2 and eps^3, for lift 1 bumped by
+    eps^{n-1}, and for every lift bumped by eps^{n-1} a t^e, seeded, with
+    0 <= e <= m+1.  At (5,2,3) and (3,2,4) the bump of lift 1 gives
+    nonzero commutator defects that are coboundaries.  Elsewhere every
+    defect reads zero in M: the power blocks do for any lifts of the
+    trivial representation, and at (2,2,3) and (3,2,2) p divides m+1."""
+    ch = character_for(p, s, m)
+    engine = H2Engine(ch)
+    rng = random.Random(100 * p + 10 * s + m)
+    nonzero = []
+    for order in (2, 3):
+        rep, ft, lifts = straight_lifts(ch, order)
+        A = rep.A
+        top = A.from_raw((0,) * (order - 1) + (1,))
+
+        def bumped(i, e, a):
+            kick = LaurentSeries.make(A, {e: top * A.include(a)}, INF)
+            return lifts[i] + kick
+
+        cases = [lifts, {**lifts, 1: bumped(1, 0, ch.field.one())}]
+        for _ in range(2):
+            cases.append({i: bumped(i, rng.randrange(m + 2),
+                                    ch.field.from_raw(rng.randrange(ch.field.q)))
+                          for i in lifts})
+        for case in cases:
+            obs = obstruction_two_cocycle(rep, case)
+            table = bar_obstruction_table(rep, case)
+            assert obs["defects"] == bar_pullback(ch, table)
+            assert obs["identically_zero"] == all(v.is_zero() for v in table.values())
+            assert obs["vanishes_in_H2"] == engine.is_coboundary(table)
+            nonzero.append(not obs["identically_zero"])
+    assert any(nonzero) == ((p, s, m) in [(5, 2, 3), (3, 2, 4)])
+
+
 def test_obstruction_rejects_disagreement_below_the_kernel():
-    """Over eps^3 a bump by eps t at a non-generator element makes the lifts
-    disagree modulo eps^2; the table refuses it."""
+    """Over eps^3 a bump by eps t^2 of the generator lift breaks the power
+    relation at eps^1, so the lifts are no representation modulo eps^2;
+    the defects and the bar table refuse them alike."""
     ch = character_for(3, 1, 2)
     rep, ft, lifts = straight_lifts(ch, 3)
     A = rep.A
-    bump = LaurentSeries.make(A, {1: A.eps()}, INF)
-    lifts[(2,)] = peeled_lift(lifts, (2,)) + bump
+    lifts[1] = lifts[1] + LaurentSeries.make(A, {2: A.eps()}, INF)
     with pytest.raises(ReductionMismatch):
         obstruction_two_cocycle(rep, lifts)
+    with pytest.raises(ReductionMismatch):
+        bar_obstruction_table(rep, lifts)
 
 
-def test_obstruction_refuses_a_large_group_before_composing(monkeypatch):
-    """At |V| = 32 > 27 the H^2 engine is out of scope; the obstruction
-    raises TooLarge before it composes any of the |V|^2 lifts."""
+def test_obstruction_composes_only_the_relations_at_order_32(monkeypatch):
+    """At |V| = 32, (p, s, m) = (2, 5, 3) over eps^3, the obstruction
+    composes s(p-1) + s(s-1) = 25 times, against |V| + |V|^2 = 1056 for
+    the bar table, and the straight lifts give no obstruction."""
     ch = make_character(make_field(2, 5),
                         [[0] * i + [1] + [0] * (4 - i) for i in range(5)], 3)
     A = make_artin_algebra(ch.field, 3)
     lifts = {i: build_rho(ch, ch.generator(i), 15).lift_ring(A)
              for i in range(1, 6)}
+    calls = []
 
-    def no_compose(outer, inner):
-        pytest.fail("composed before the size check")
+    def counting_compose(outer, inner):
+        calls.append(1)
+        return compose(outer, inner)
 
-    monkeypatch.setattr(deform, "compose", no_compose)
-    with pytest.raises(TooLarge):
-        obstruction_two_cocycle(trivial_rep(A, ch), lifts)
+    monkeypatch.setattr(deform, "compose", counting_compose)
+    obs = obstruction_two_cocycle(trivial_rep(A, ch), lifts)
+    assert len(calls) == 25
+    assert obs["identically_zero"] and obs["vanishes_in_H2"]
 
 
 def test_obstruction_rejects_bad_reduction():
