@@ -1,9 +1,10 @@
 """Cohomology of the tangent module, three ways.
 
 H^1(V, T) classifies first-order deformations of the action.  We compute
-its dimension by brute-force linear algebra, compare with the closed
-digit formula, exhibit the cyclic basis for s = 1, and show the one case
-where the group does NOT split into cyclic pieces cohomologically.
+its dimension by exact linear algebra, as the invariant pole parts of
+T_K/T modulo those of the invariant fields, compare with the closed digit
+formula, exhibit the cyclic basis for s = 1, and show the one case where
+the group does NOT split into cyclic pieces cohomologically.
 """
 
 from wildram import linalg

@@ -1,23 +1,23 @@
-"""Group cohomology of V = (Z/p)^s on the twisted module of pole parts.
+"""Group cohomology of V = (Z/p)^s on the tangent module and its pole parts.
 
-The module M is t^{-(m+1)} k[[t]] / k[[t]], a k-vector space of dimension
-m+1 carrying the conjugation action on vector fields transported through
-the pole-part identification f(t) d/dt <-> f(t)/t^{m+1}.  In these terms
-sigma acts by the one binomial formula
+In the coordinate g d/du with u = t^{-m}, the tangent module T = k[[t]] d/dt
+is t^{-(m+1)} k[[t]], T_K = k((t)) d/du is K itself with its Galois action
+(d/du is invariant, as sigma(u) = u + c(sigma)), and sigma acts on pole
+exponents by the one binomial formula
 
-    t^e -> t^e (1 + c(sigma) t^m)^{-e/m},
+    t^e -> t^e (1 + c(sigma) t^m)^{-e/m}.
 
-and every action matrix, on M and on the graded components of the tangent
-module T, is a slice of it, built with the norm 1 + sigma + ... +
-sigma^{p-1} in one pass.  H^1 and H^2 are computed by exact linear
-algebra over k in one generator complex Hom_V(P, -), where P is the tensor
-product of the periodic resolutions of the s cyclic factors.  On T,
-`h1_brute_force` reads the dimension of H^1 and a basis of class
-representatives off one echelon form per graded component; the basis is
-given in T's graded coordinates, not as cochains of M.  On M, `is_cocycle`,
-the coboundaries behind `cocycle_class_vector`, the dimension of H^2 and
-the coboundary tests all read its differentials: `d1_preimage` on the
-relations of V, such as the defects of an obstruction, and
+Every action matrix is a slice of it, built with the norm 1 + sigma + ... +
+sigma^{p-1} in one pass: on M = t^{-(m+1)} k[[t]] / k[[t]], the module of
+m+1 pole parts, and on the graded components of T_K/T.  H^1 and H^2 are
+computed by exact linear algebra over k in one generator complex
+Hom_V(P, -), where P is the tensor product of the periodic resolutions of
+the s cyclic factors.  `h1_brute_force` reads H^1(V, T) off the exact
+sequence 0 -> T -> T_K -> T_K/T -> 0: the invariant pole parts modulo those
+of the invariant fields, one echelon form per graded component.  On M,
+`is_cocycle`, the coboundaries behind `cocycle_class_vector`, the dimension
+of H^2 and the coboundary tests all read its differentials: `d1_preimage`
+on the relations of V, such as the defects of an obstruction, and
 `H2Engine.is_coboundary` on all pairs of group elements, pulled back along
 the chain map from the periodic resolutions to the bar resolution.
 Alongside sit the closed dimension formula of H^1(V, T), the cyclic
@@ -124,7 +124,8 @@ def _action(ch, g, exps):
     divides d, and 0 otherwise: N is -g on those entries and 0 elsewhere.
     Images only move up in exponent and terms outside exps are dropped, so
     the slice on -1..-(m+1) is the action on M = t^{-(m+1)} k[[t]] / k[[t]],
-    and a component cut at level L is its quotient by the levels >= L."""
+    and the slice on the exponents -B..-(m+2) is the exact action on
+    t^{-B} k[[t]] / T."""
     p, m = ch.p, ch.m
     tables = ch.field.tables()
     mul, neg = tables[1], tables[2]
@@ -147,13 +148,6 @@ def _action(ch, g, exps):
     return mat, norm
 
 
-def module_action(ch, g, x):
-    """sigma . (h(t)/t^{m+1} as a vector field): the pole part of
-    rho_g(t)^{m+1} h(rho_g(t)) / (t^{m+1} rho_g'(t))."""
-    vec = linalg.mat_vec(ch.field, action_matrix(ch, g), x.vector())
-    return PolePartClass.from_vector(ch, vec)
-
-
 def _pole_exponents(m):
     """The basis t^{-1}, ..., t^{-(m+1)} of M."""
     return range(-1, -m - 2, -1)
@@ -172,31 +166,13 @@ def _generator_actions(ch):
 
 # -- brute-force H^1 ----------------------------------------------------------
 
-def component_depth(p):
-    """Levels kept per graded component of the tangent module.
-
-    The module of vector fields t^j d/dt is graded by j mod m (the action
-    only adds multiples of m to the degree), so H^1 splits over the
-    components.  Classes are compared through a window of the lowest
-    ``component_window`` levels.  Both constants were fitted at s <= 2,
-    where the result agrees with the closed dimension formula on the grid
-    p in {2,3,5}, m <= 20.  They are not certified at s = 3: at p = d = 3,
-    m = 4 this depth gives dim 6 against the formula's 8, and depth and
-    window (40, 8) and (56, 16) give 7 and 8."""
-    return 6 * p + 6
-
-
-def component_window(p):
-    return p + 2
-
-
-def component_action_matrix(ch, g, r, L):
+def component_action_matrix(ch, g, r, K):
     """Matrices of g and of its norm 1 + g + ... + g^{p-1} on the
-    degree-(r mod m) component, levels l = 0..L-1 standing for the basis
-    vector fields t^{r+lm} d/dt, that is the pole exponents r + lm - m - 1.
-    The level gap of entry (i, j) is i - j."""
+    degree-(r mod m) component of T_K/T, levels -K..-1 in this order:
+    level -l stands for the pole exponent r - m - 1 - lm, below the
+    exponents >= -m-1 of T.  The level gap of entry (i, j) is i - j."""
     m = ch.m
-    return _action(ch, g, range(r - m - 1, r + L * m - m - 1, m))
+    return _action(ch, g, range(r - m - 1 - K * m, r - m - 1, m))
 
 
 def _multi_indices(s, n):
@@ -251,50 +227,50 @@ def _complex(field, gens, top):
     return out
 
 
-def _component_h1(ch, r):
-    """Class representatives of one graded component, as window vectors
-    (s blocks of the lowest component_window levels).  The windowed
-    coboundaries lie inside the windowed cocycles, so the rows of the
-    echelonized cocycle window whose pivot is not a pivot of the
-    echelonized coboundary window are independent modulo it, and there
-    are rank Z_w - rank B_w of them."""
-    field = ch.field
-    p, s = ch.p, ch.s
-    L = component_depth(p)
-    W = component_window(p)
-    gens = [component_action_matrix(ch, ch.generator(i), r, L)
-            for i in range(1, s + 1)]
-    d0, d1 = _complex(field, gens, 1)
+def _component_classes(ch, r, B):
+    """Class representatives of H^1(V, T) in the degree-(r mod m)
+    component, from the pole parts of order at most B.
 
-    def window(v):
-        return [x for i in range(s) for x in v[i * L:i * L + W]]
-
-    zbasis = linalg.nullspace(field, d1, s * L)
-    zred, zpivots = linalg.rref(field, [window(v) for v in zbasis])
-    bpivots = set(linalg.rref(field, [window(col) for col in zip(*d0)])[1])
-    return [row for row, c in zip(zred, zpivots) if c not in bpivots]
+    The invariants of the component of t^{-B} k[[t]] / T are the common
+    kernel of the sigma_i - 1, echelonized with the deepest pole first, so
+    each row leads at its pivot exponent.  The invariant fields x^{-j} d/du,
+    with x = prod_sigma rho_sigma(t) of valuation p^s, lie in one component
+    each and lead at -j p^s, so every pivot that is a multiple of p^s is
+    the lead of one of them.  The rows whose pivot exponent is not a
+    multiple of p^s are therefore a basis of the quotient by their pole
+    parts."""
+    m, q = ch.m, ch.p ** ch.s
+    K = (B + r - m - 1) // m
+    gens = [component_action_matrix(ch, ch.generator(i), r, K)
+            for i in range(1, ch.s + 1)]
+    d0 = _complex(ch.field, gens, 0)[0]
+    inv, pivots = linalg.rref(ch.field, linalg.nullspace(ch.field, d0, K))
+    return [row for row, c in zip(inv, pivots)
+            if (r - m - 1 - (K - c) * m) % q]
 
 
 def h1_brute_force(ch):
-    """dim_k H^1(V, T) of the tangent module T and a deterministic basis
-    of class representatives, as (r, window vector) pairs.
+    """dim_k H^1(V, T) of the tangent module T = k[[t]] d/dt and a
+    deterministic basis of class representatives.
 
-    T is graded by the degree mod m of its vector fields t^j d/dt, and
-    H^1 splits over the components r = 0, ..., m-1.  Cocycles of a
-    component are the kernel of d^1 on generator values: the norm
-    conditions (1 + sigma_i + ... + sigma_i^{p-1}) x_i = 0 and the pairwise
-    compatibility x_i + sigma_i x_j = x_j + sigma_j x_i; coboundaries are
-    the image ((sigma_i - 1) n)_i of d^0.  Classes are compared through the
-    low-degree window of each component, where the computation has
-    stabilized.  A window vector of component r has s blocks of
-    component_window(p) levels: block i, level l is the coefficient of
-    t^{r+lm} d/dt in the value on sigma_{i+1}.  The pairs come in order of
-    increasing r.
+    The exact sequence 0 -> T -> T_K -> T_K/T -> 0 and H^1(V, T_K) = 0 give
+    H^1(V, T) = (T_K/T)^V / image(T_K^V), with T_K^V = k((x)) d/du.  Every
+    class comes from a pole part of order at most B = p^s (m+1): with d =
+    (p^s - 1)(m+1) the different exponent, some a in t^{-d} k[[t]] has
+    trace 1, and y = -sum_tau h(tau) tau(a) solves sigma y - y = h(sigma)
+    with v(y) >= -(m+1) - d = -B.  The lead of an element of k((x)) below
+    -(m+1) is a pole of its class, so the image in t^{-B} k[[t]] / T is
+    spanned by the pole parts of the x^{-j} with j p^s <= B.  T_K/T is
+    graded by the degree mod m of its vector fields.  The basis holds, in
+    order of increasing r, pairs (r, v) of a component r < m and an
+    invariant pole part v of that component, in the levels -K..-1 of
+    component_action_matrix; "pole_bound" is B.
     """
     if ch.order() > 125:
         raise TooLarge("group order above 125 is out of scope")
-    basis = [(r, w) for r in range(ch.m) for w in _component_h1(ch, r)]
-    return {"dim": len(basis), "basis": basis}
+    B = ch.order() * (ch.m + 1)
+    basis = [(r, v) for r in range(ch.m) for v in _component_classes(ch, r, B)]
+    return {"dim": len(basis), "basis": basis, "pole_bound": B}
 
 
 def is_cocycle(ch, cochain):
@@ -315,11 +291,6 @@ def cocycle_class_vector(ch, cochain):
     d0 = _complex(ch.field, _generator_actions(ch), 0)[0]
     bred, bpivots = linalg.rref(ch.field, list(zip(*d0)))
     return linalg.reduce_against(ch.field, bred, bpivots, vec)
-
-
-def classes_equal(ch, a, b):
-    """Whether two 1-cocycles differ by a coboundary."""
-    return cocycle_class_vector(ch, a) == cocycle_class_vector(ch, b)
 
 
 # -- closed formulas ----------------------------------------------------------

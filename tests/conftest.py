@@ -5,10 +5,11 @@ from math import comb
 
 import pytest
 
+from wildram import linalg
 from wildram.ascover import ReductionMismatch
 from wildram.autoreps import build_rho, group_mul, make_character, peeled
 from wildram.coeffring import make_field
-from wildram.cohomology import PolePartClass
+from wildram.cohomology import PolePartClass, action_matrix, cocycle_class_vector
 from wildram.deform import deformation_window
 from wildram.series import INF, LaurentSeries, compose
 
@@ -86,6 +87,18 @@ def bar_obstruction_table(rep, lifts):
             table[(g.exps, h.exps)] = PolePartClass.from_series(
                 ch, diff.eps_component(top).shift(-(ch.m + 1)))
     return table
+
+
+def module_action(ch, g, x):
+    """Helper: sigma . (h(t)/t^{m+1} as a vector field) on M, the pole part
+    of rho_g(t)^{m+1} h(rho_g(t)) / (t^{m+1} rho_g'(t))."""
+    vec = linalg.mat_vec(ch.field, action_matrix(ch, g), x.vector())
+    return PolePartClass.from_vector(ch, vec)
+
+
+def classes_equal(ch, a, b):
+    """Helper: whether two 1-cocycles on M differ by a coboundary."""
+    return cocycle_class_vector(ch, a) == cocycle_class_vector(ch, b)
 
 
 def laplace_det(ring, mat):

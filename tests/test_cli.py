@@ -122,6 +122,18 @@ def test_ascover_report_survives_a_json_round_trip(field, character):
     assert json.loads(json.dumps(report)) == report
 
 
+def test_cohomology_task_at_s3_matches_the_formula():
+    """At (3,3,2) over F_27 the brute force reads dim H^1(V, T) = 5, the
+    closed formula's value, so the cohomology task passes."""
+    report = run(sample_config(
+        field={"p": 3, "d": 3},
+        character={"s": 3, "m": 2, "vals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        tasks=["cohomology"]))
+    entry = report["tasks"][0]
+    assert entry["ok"]
+    assert entry["results"]["h1_dim"] == entry["results"]["h1_formula"] == 5
+
+
 def test_deform_above_the_h2_limit_reports_the_samples():
     """At p^s = 125 the deform entry keeps its five extractions and
     reports both obstruction fields, read off the relation defects of the

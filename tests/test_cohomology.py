@@ -12,13 +12,11 @@ from wildram.cohomology import (
     OneCochain,
     PolePartClass,
     _complex,
+    _component_classes,
     _generator_actions,
     _multi_indices,
     action_matrix,
-    classes_equal,
     component_action_matrix,
-    component_depth,
-    component_window,
     cocycle_class_vector,
     h1_basis_cyclic,
     h1_brute_force,
@@ -26,38 +24,55 @@ from wildram.cohomology import (
     h2_brute_force,
     is_cocycle,
     krull_dimension_sigma,
-    module_action,
     split_condition,
 )
+from wildram.ascover import downstairs_coordinate
 from wildram.autoreps import build_rho, group_mul
 from wildram.series import LaurentSeries, invert_unit_series
 
-from conftest import character_for, mat_mul, small_grid
+from conftest import (character_for, classes_equal, mat_mul, module_action,
+                      small_grid)
 
 # Every small_grid() point whose bar complex is small enough to solve, and
 # one s = 3 point for the e_i + e_j + e_k blocks of the generator complex.
 H2_POINTS = [pt for pt in small_grid() if pt[0] ** pt[1] <= 9] + [(2, 3, 3)]
 
 
-def tangent_action_matrix(ch, g, K):
-    """Reference action of g on the depth-K truncation of the tangent
-    module, built from the automorphism series: in the basis t^j d/dt,
-    j = 0..K-1 (pole exponents j-m-1), column j is the image
-    rho^j / (t^{m+1} rho'(t)) of t^{j-m-1}."""
+def tangent_action_matrix(ch, g, K, below=0):
+    """Reference action of g on the tangent module cut at depth K and
+    extended by `below` pole levels, built from the automorphism series: in
+    the basis t^j d/dt, j = -below..K-1 (pole exponents j-m-1), column j is
+    the image rho^j / (t^{m+1} rho'(t)) of t^{j-m-1}, with rho^j a power of
+    rho^{-1} when j < 0.  Row and column i stand for j = i - below."""
     field = ch.field
     m = ch.m
-    prec = K + 2 * (m + 2)
+    prec = K + below + 2 * (m + 2)
     rho = build_rho(ch, g, prec)
     q = invert_unit_series(LaurentSeries.t_power(field, m + 1, prec) * rho.derivative())
-    mat = [[0] * K for _ in range(K)]
-    rho_pow = LaurentSeries.one(field, prec)
-    for j in range(K):
+    n = below + K
+    mat = [[0] * n for _ in range(n)]
+    rho_pow = rho.pow(-below)
+    for j in range(n):
         img = rho_pow * q
         assert img.prec >= K - m - 1, "insufficient working precision"
-        for row in range(K):
-            mat[row][j] = img.coeff(row - m - 1)
+        for row in range(n):
+            mat[row][j] = img.coeff(row - below - m - 1)
         rho_pow = rho_pow * rho
     return mat
+
+
+def component_levels(ch, r, B):
+    """K and the pole exponents r - m - 1 - lm, l = K..1, of component r of
+    t^{-B} k[[t]] / T, in the order of component_action_matrix."""
+    m = ch.m
+    K = (B + r - m - 1) // m
+    return K, [r - m - 1 - (K - i) * m for i in range(K)]
+
+
+def is_fixed(ch, r, K, v):
+    """Whether every generator's component action fixes v."""
+    return all(linalg.mat_vec(ch.field, component_action_matrix(
+        ch, ch.generator(i), r, K)[0], v) == v for i in range(1, ch.s + 1))
 
 
 def random_pole_class(ch, rng):
@@ -116,18 +131,11 @@ def test_h1_formula_matches_brute_force(p, s, m):
     assert h1_brute_force(ch)["dim"] == h1_closed_formula(p, s, m)
 
 
-# At s = 3 with p >= 3 the fitted component_depth and component_window are
-# too shallow: h1_brute_force gives 4, 6 and 18 against the formula's 5, 8
-# and 23.  Certifying the depth turns these into passes.
-SHALLOW_AT_S3 = pytest.mark.xfail(
-    strict=True, reason="component depth and window fitted at s <= 2")
+S3_POINTS = [(3, 3, 2), (3, 3, 4), (3, 3, 20), (5, 3, 2), (5, 3, 9),
+             (2, 3, 3), (2, 3, 5), (2, 3, 7)]
 
 
-@pytest.mark.parametrize("p,s,m", [
-    pytest.param(3, 3, 2, marks=SHALLOW_AT_S3),
-    pytest.param(3, 3, 4, marks=SHALLOW_AT_S3),
-    pytest.param(5, 3, 9, marks=SHALLOW_AT_S3),
-    (2, 3, 3), (2, 3, 5), (2, 3, 7)])
+@pytest.mark.parametrize("p,s,m", S3_POINTS)
 def test_h1_formula_matches_brute_force_at_s3(p, s, m):
     assert h1_brute_force(character_for(p, s, m))["dim"] == h1_closed_formula(p, s, m)
 
@@ -135,10 +143,10 @@ def test_h1_formula_matches_brute_force_at_s3(p, s, m):
 def test_h1_builds_no_products_and_one_lucas_row_per_column(monkeypatch):
     """Timer-free cost guard: at (5,2,6) h1_brute_force multiplies no
     matrices and computes no binomial entry by entry.  Each column of each
-    generator's action on each component is one Lucas row, m s L rows in
-    all.  Building the norms as (sigma - 1)^{p-1} took 3 products per
-    generator and component, and the action one binom_mod_p call per
-    entry."""
+    generator's action on each component of t^{-B} k[[t]] / T is one Lucas
+    row, s (K_0 + ... + K_{m-1}) rows in all.  Building the norms as
+    (sigma - 1)^{p-1} took 3 products per generator and component, and the
+    action one binom_mod_p call per entry."""
     ch = character_for(5, 2, 6)
     products, entries, rows = [], [], []
     binom_row = cohomology.binom_row_mod_p
@@ -152,39 +160,73 @@ def test_h1_builds_no_products_and_one_lucas_row_per_column(monkeypatch):
     monkeypatch.setattr(cohomology, "binom_mod_p",
                         lambda *args: entries.append(args), raising=False)
     monkeypatch.setattr(cohomology, "binom_row_mod_p", counted_row)
-    assert h1_brute_force(ch)["dim"] == h1_closed_formula(5, 2, 6)
-    assert not products and not entries
-    assert len(rows) == ch.m * ch.s * component_depth(5)
-
-
-@pytest.mark.parametrize("p,s,m", small_grid() + [(3, 2, 10), (5, 2, 6)])
-def test_h1_basis_is_independent_modulo_coboundaries(p, s, m):
-    """Each component's representatives are nonzero windows of cocycles,
-    and stay independent after reduction against that component's
-    windowed coboundaries."""
-    ch = character_for(p, s, m)
-    field = ch.field
     out = h1_brute_force(ch)
-    basis = out["basis"]
-    assert len(basis) == out["dim"]
-    L, W = component_depth(p), component_window(p)
+    assert out["dim"] == h1_closed_formula(5, 2, 6)
+    assert not products and not entries
+    B = out["pole_bound"]
+    assert len(rows) == ch.s * sum(component_levels(ch, r, B)[0]
+                                   for r in range(ch.m))
 
-    def window(v):
-        return [x for i in range(s) for x in v[i * L:i * L + W]]
 
-    assert all(0 <= r < m for r, _ in basis)
-    for r in range(m):
-        reps = [w for rr, w in basis if rr == r]
-        assert all(len(w) == s * W and any(w) for w in reps)
-        gens = [component_action_matrix(ch, ch.generator(i), r, L)
-                for i in range(1, s + 1)]
-        d0, d1 = _complex(field, gens, 1)
-        zw = [window(v) for v in linalg.nullspace(field, d1, s * L)]
-        for w in reps:
-            assert linalg.rank(field, zw + [w]) == linalg.rank(field, zw)
-        bred, bpivots = linalg.rref(field, [window(col) for col in zip(*d0)])
-        reduced = [linalg.reduce_against(field, bred, bpivots, w) for w in reps]
-        assert linalg.rank(field, reduced) == len(reps)
+@pytest.mark.parametrize("p,s,m", small_grid() + [(3, 2, 10), (5, 2, 6), (3, 3, 2)])
+def test_h1_basis_is_independent_modulo_coboundaries(p, s, m):
+    """Each representative is an invariant pole part of its component of
+    t^{-B} k[[t]] / T, and the representatives lead at distinct exponents,
+    none a multiple of p^s, where the invariant fields x^{-j} lead.  So
+    they are independent modulo the pole parts of the invariant fields,
+    the pole parts whose cocycles sigma y - y are coboundaries in T."""
+    ch = character_for(p, s, m)
+    out = h1_brute_force(ch)
+    basis, B = out["basis"], out["pole_bound"]
+    assert len(basis) == out["dim"] and B == p ** s * (m + 1)
+    assert [r for r, _ in basis] == sorted(r for r, _ in basis)
+    leads = []
+    for r, v in basis:
+        K, exps = component_levels(ch, r, B)
+        assert len(v) == K and any(v)
+        assert is_fixed(ch, r, K, v)
+        leads.append(exps[next(i for i, x in enumerate(v) if x)])
+    assert len(set(leads)) == len(leads)
+    assert all(e % p ** s for e in leads)
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 3), (3, 1, 2), (5, 1, 3), (2, 2, 3),
+                                   (3, 2, 2), (5, 2, 2), (2, 3, 3), (3, 3, 2)])
+def test_invariant_fields_are_fixed_pole_parts(p, s, m):
+    """Series-side oracle: x = prod_sigma rho_sigma(t) is invariant, so the
+    pole part below -(m+1) of each x^{-j} with m+1 < j p^s <= B lies in one
+    component, is fixed by every generator's component action, and leads
+    at -j p^s."""
+    ch = character_for(p, s, m)
+    q, B = p ** s, p ** s * (m + 1)
+    xinv = invert_unit_series(downstairs_coordinate(ch, B + 2 * q))
+    power = xinv.pow((m + 1) // q + 1)
+    for j in range((m + 1) // q + 1, B // q + 1):
+        assert power.prec >= -m - 1, "insufficient working precision"
+        found = []
+        for r in range(m):
+            K, exps = component_levels(ch, r, B)
+            v = [power.coeff(e) for e in exps]
+            if any(v):
+                assert is_fixed(ch, r, K, v)
+                found.append(exps[next(i for i, x in enumerate(v) if x)])
+        assert found == [-j * q]
+        power = power * xinv
+
+
+@pytest.mark.parametrize("p,s,m", small_grid() + S3_POINTS)
+def test_h1_count_is_stable_past_the_pole_bound(p, s, m):
+    """The classes from pole parts of order at most B inject into those at
+    any larger bound, so their count does not decrease with B and is at
+    most dim H^1.  At B = p^s (m+1) and one period m p^s past it the count
+    is the same, the closed formula's value."""
+    ch = character_for(p, s, m)
+    B = p ** s * (m + 1)
+
+    def count(bound):
+        return sum(len(_component_classes(ch, r, bound)) for r in range(m))
+
+    assert count(B + m * p ** s) == count(B) == h1_closed_formula(p, s, m)
 
 
 def test_h1_formula_known_values():
@@ -240,18 +282,19 @@ def test_krull_dimension_sigma():
 
 @pytest.mark.parametrize("p,s,m", [(2, 1, 3), (3, 1, 2), (2, 2, 3)])
 def test_component_matrices_match_series_action(p, s, m):
+    """Each component of t^{-B} k[[t]] / T carries the series action on its
+    pole exponents below -(m+1), read through powers of rho^{-1}."""
     ch = character_for(p, s, m)
-    K = 3 * m + 3
-    L = (K + m - 1) // m
+    B = 3 * m + 3
+    below = B - m - 1
     for i in range(1, s + 1):
         g = ch.generator(i)
-        full = tangent_action_matrix(ch, g, K)
+        full = tangent_action_matrix(ch, g, 1, below)
         for r in range(m):
-            comp = component_action_matrix(ch, g, r, L)[0]
-            levels = [l for l in range(L) if r + l * m < K]
-            for l in levels:
-                for lp in levels:
-                    assert comp[lp][l] == full[r + lp * m][r + l * m]
+            K, exps = component_levels(ch, r, B)
+            comp = component_action_matrix(ch, g, r, K)[0]
+            idx = [e + m + 1 + below for e in exps]
+            assert comp == [[full[a][b] for b in idx] for a in idx]
 
 
 @pytest.mark.parametrize("p,s,m", small_grid())
@@ -343,11 +386,13 @@ def test_h2_dimension_matches_bar_complex(p, s, m):
 
 def generator_modules(ch):
     """The generators' (matrix, norm) pairs on M and on each graded
-    component, as _complex takes them."""
+    component of t^{-B} k[[t]] / T at h1_brute_force's B, as _complex takes
+    them."""
     gens = [ch.generator(i) for i in range(1, ch.s + 1)]
-    L = component_depth(ch.p)
+    B = ch.order() * (ch.m + 1)
     modules = [_generator_actions(ch)]
-    modules += [[component_action_matrix(ch, g, r, L) for g in gens]
+    modules += [[component_action_matrix(ch, g, r, component_levels(ch, r, B)[0])
+                 for g in gens]
                 for r in range(ch.m)]
     return modules
 

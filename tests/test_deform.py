@@ -21,7 +21,6 @@ from wildram.cohomology import (
     OneCochain,
     PolePartClass,
     _multi_indices,
-    classes_equal,
 )
 from wildram.coeffring import ArtinElem, make_artin_algebra, make_field
 from wildram.deform import (
@@ -41,7 +40,8 @@ from wildram.deform import (
 )
 from wildram.series import INF, LaurentSeries, compose, invert_unit_series, revert
 
-from conftest import bar_obstruction_table, character_for, small_grid
+from conftest import (bar_obstruction_table, character_for, classes_equal,
+                      module_action, small_grid)
 
 
 def seeded_datum(ch, rng):
@@ -570,7 +570,6 @@ def test_formula_is_additive_on_group_elements():
     val_g = cocycle_formula(datum, g)
     # cocycle rule alpha(gh) = alpha(g) + g . alpha(h); the closed form is a
     # cocycle, verified through the extraction agreement, so evaluate both ends
-    from wildram.cohomology import module_action
     lhs = cocycle_formula(datum, group_mul(ch, g, h))
     rhs = val_g + module_action(ch, g, cocycle_formula(datum, h))
     assert (lhs - rhs).is_zero()
