@@ -1,8 +1,9 @@
 """Exact arithmetic for wild automorphisms of k[[t]] and their
 infinitesimal deformations: finite fields and Artin local algebras,
 truncated Laurent series, the canonical order-p^s automorphism family,
-group cohomology of the pole-part module, Artin-Schreier cover models,
-and matrix deformation data."""
+group cohomology of the tangent module (H^1 from invariant pole parts of
+T_K/T, classes and obstructions on the pole-part module M), Artin-Schreier
+cover models, and matrix deformation data."""
 
 from .coeffring import (
     ArtinAlgebraDescriptor,

@@ -146,25 +146,3 @@ def moore_det(xs):
     ring = xs[0].ring
     return ring.from_raw(ore_recursion(ring, [ring.to_raw(x) for x in xs])[1])
 
-
-def additive_poly_from_character(ch, omit):
-    """The monic additive polynomial whose roots are the F_p-span of the
-    character values with value ``omit`` (1-based) left out."""
-    vals = list(ch.vals)
-    if not 1 <= omit <= len(vals):
-        raise ValueError("omit index out of range")
-    del vals[omit - 1]
-    return ore_recursion(ch.field, [v.raw for v in vals])[0]
-
-
-def moore_swap_identity_check(ch, i):
-    """Verify the cyclic-shift sign identity for Moore determinants."""
-    if not 1 <= i <= ch.s:
-        raise ValueError("index out of range")
-    vals = list(ch.vals)
-    moved = vals[:i - 1] + vals[i:] + [vals[i - 1]]
-    lhs = moore_det(moved)
-    rhs = moore_det(vals)
-    if (ch.s - i) % 2 == 1:
-        rhs = -rhs
-    return lhs == rhs

@@ -25,13 +25,13 @@ from .autoreps import (
     verify_group_law,
 )
 from .coeffring import make_artin_algebra, make_field
-from .series import LaurentSeries, invert_unit_series
+from .series import INF, LaurentSeries, invert_unit_series
 
 SCHEMA = "wildram-report/1"
 KNOWN_TASKS = ("rho", "cohomology", "ascover", "deform", "predicates")
-# Resource caps on a job: series are built to `precision` terms, and to
-# deform_precision(m) in the deformation task, which works over
-# F_q[eps]/eps^artin_order.
+# Resource caps on a job: series are built to `precision` terms, and in the
+# deformation task, which works over F_q[eps]/eps^artin_order, to at most
+# the 5m + 1 terms of a sample's ftilde denominator (sample_ftilde_precision).
 MAX_PRECISION = 1024
 MAX_ARTIN_ORDER = 16
 # Seeded first-order data the deform task extracts and checks per job.
@@ -105,10 +105,11 @@ def parse_config(data):
         if t["name"] not in KNOWN_TASKS:
             raise UnknownTask("/tasks/%d/name" % i, t["name"])
         parsed.append(t)
+    longest = sample_ftilde_precision(m) + 2 * m
     _require(all(t["name"] != "deform" for t in parsed)
-             or deform_precision(m) <= MAX_PRECISION, "/character/m",
+             or longest <= MAX_PRECISION, "/character/m",
              "the deform task builds series to %d terms, above the limit %d"
-             % (deform_precision(m), MAX_PRECISION))
+             % (longest, MAX_PRECISION))
     return {"field": field, "ch": ch, "artin_order": n,
             "precision": prec, "seed": seed, "tasks": parsed}
 
@@ -192,10 +193,12 @@ def _random_datum(ch, rng):
     return deform.DeformationDatum(ch, tuple(lam1), tuple(delta), tuple(a1))
 
 
-def deform_precision(m):
-    """The precision of ftilde in the obstruction part of the deform task,
-    eight deformation windows, and the longest series the task builds."""
-    return 8 * deform.deformation_window(m)
+def sample_ftilde_precision(m):
+    """ftilde(P) is known to t^(P - 2(m - mu)) when the divisor moves at
+    t^mu, and the extraction needs it to t^(m + 1 - mu): P = 3m + 1.  Its
+    denominator, to t^(P + 2m), is the longest series of the deform task;
+    the solves start at most at 3m + 2."""
+    return 3 * m + 1
 
 
 def task_deform(job):
@@ -208,15 +211,16 @@ def task_deform(job):
         rep = datum.matrix_rep()
         if deform.rep_validate(rep)["valid"]:
             valid += 1
-        coc = deform.tangent_cocycle_extract(rep, datum.ftilde(
-            16 * (ch.m + 2)))
+        coc = deform.tangent_cocycle_extract(
+            rep, datum.ftilde(sample_ftilde_precision(ch.m)))
         if coc == deform.cocycle_formula_cochain(datum):
             matches += 1
     A = make_artin_algebra(ch.field, job["artin_order"])
     rep0 = deform.trivial_rep(A, ch)
-    ft0 = LaurentSeries.t_power(A, -ch.m, deform_precision(ch.m))
-    window = deform.deformation_window(ch.m)
-    lifts = {i: deform.deformed_rho(rep0, ft0, ch.generator(i), window)
+    # ft0 = t^-m is exact, and the lifts are rho_i itself, of lead 1, so
+    # composing them keeps the t^(m+2) that the defects are read to
+    ft0 = LaurentSeries.t_power(A, -ch.m, INF)
+    lifts = {i: deform.deformed_rho(rep0, ft0, ch.generator(i), ch.m + 2)
              for i in range(1, ch.s + 1)}
     obs = deform.obstruction_two_cocycle(rep0, lifts)
     return {"samples": DEFORM_SAMPLES, "formula_matches": matches,

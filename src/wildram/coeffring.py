@@ -327,6 +327,8 @@ class FieldDescriptor(RingDescriptor):
         return list(self.idx_to_coeffs(a))
 
     def raw_from_vector(self, v):
+        if len(v) > self.d or not all(type(c) is int and 0 <= c < self.p for c in v):
+            raise RingMismatch("%r is not a coefficient vector of %r" % (v, self))
         return self.coeffs_to_idx(v)
 
     # -- public elements ------------------------------------------------------
@@ -526,6 +528,8 @@ class ArtinAlgebraDescriptor(RingDescriptor):
         return [self.base.raw_to_vector(i) for i in a]
 
     def raw_from_vector(self, v):
+        if len(v) > self.n:
+            raise RingMismatch("%r has more than %d eps-components" % (v, self.n))
         raw = tuple(map(self.base.raw_from_vector, v))
         return raw + (0,) * (self.n - len(raw))
 

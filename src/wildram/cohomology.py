@@ -28,6 +28,7 @@ locus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import linalg
 from .autoreps import (Character, binom_row_mod_p, character_value,
@@ -113,39 +114,40 @@ class OneCochain:
 
 # -- the module action --------------------------------------------------------
 
-def _action(ch, g, exps):
-    """Matrices of g and of its norm N = 1 + g + ... + g^{p-1} acting by
-    t^e -> t^e (1 + c(g) t^m)^{-e/m} on the span of the t^e, e in exps,
-    built in one pass.  Entry (i, j) of g is the coefficient of t^{exps[i]}
-    in the image of t^{exps[j]}, namely binom(-e/m, d) c(g)^d when
-    exps[i] = e + dm with e = exps[j] and d >= 0; the binomials of a column
-    are one Lucas row.  Since c(g^k) = k c(g), the entry of g^k is k^d
-    times that of g, and sum_{k in F_p} k^d is -1 when d > 0 and p - 1
-    divides d, and 0 otherwise: N is -g on those entries and 0 elsewhere.
-    Images only move up in exponent and terms outside exps are dropped, so
-    the slice on -1..-(m+1) is the action on M = t^{-(m+1)} k[[t]] / k[[t]],
-    and the slice on the exponents -B..-(m+2) is the exact action on
-    t^{-B} k[[t]] / T."""
+def _action(ch, gs, exps):
+    """Matrices of each g in gs and of its norm N = 1 + g + ... + g^{p-1}
+    acting by t^e -> t^e (1 + c(g) t^m)^{-e/m} on the span of the t^e, e in
+    exps, built in one pass.  Entry (i, j) of g is the coefficient of
+    t^{exps[i]} in the image of t^{exps[j]}, namely binom(-e/m, d) c(g)^d
+    when exps[i] = e + dm with e = exps[j] and d >= 0; the binomials of a
+    column are one Lucas row, shared by every g.  Since c(g^k) = k c(g),
+    the entry of g^k is k^d times that of g, and sum_{k in F_p} k^d is -1
+    when d > 0 and p - 1 divides d, and 0 otherwise: N is -g on those
+    entries and 0 elsewhere.  Images only move up in exponent and terms
+    outside exps are dropped, so the slice on -1..-(m+1) is the action on
+    M = t^{-(m+1)} k[[t]] / k[[t]], and the slice on the exponents
+    -B..-(m+2) is the exact action on t^{-B} k[[t]] / T."""
     p, m = ch.p, ch.m
     tables = ch.field.tables()
     mul, neg = tables[1], tables[2]
-    c = character_value(ch, g).raw
     pos = {e: i for i, e in enumerate(exps)}
     top = max(exps)
     n = len(exps)
-    cpow = [1]
-    for _ in range((top - min(exps)) // m):
-        cpow.append(mul[cpow[-1]][c])
-    mat = [[0] * n for _ in range(n)]
-    norm = [[0] * n for _ in range(n)]
+    span = (top - min(exps)) // m
+    cpows = [list(accumulate([character_value(ch, g).raw] * span,
+                             lambda x, c: mul[x][c], initial=1)) for g in gs]
+    pairs = [([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
+             for _ in gs]
     for j, e in enumerate(exps):
         for d, b in enumerate(binom_row_mod_p(-e, m, (top - e) // m + 1, p)):
             i = pos.get(e + d * m)
             if b and i is not None:
-                mat[i][j] = x = mul[b][cpow[d]]
-                if d and d % (p - 1) == 0:
-                    norm[i][j] = neg[x]
-    return mat, norm
+                row, in_norm = mul[b], d and d % (p - 1) == 0
+                for (mat, norm), cpow in zip(pairs, cpows):
+                    mat[i][j] = x = row[cpow[d]]
+                    if in_norm:
+                        norm[i][j] = neg[x]
+    return pairs
 
 
 def _pole_exponents(m):
@@ -155,24 +157,24 @@ def _pole_exponents(m):
 
 def action_matrix(ch, g):
     """Matrix of the action of g on M in the basis t^{-1}, ..., t^{-(m+1)}."""
-    return _action(ch, g, _pole_exponents(ch.m))[0]
+    return _action(ch, [g], _pole_exponents(ch.m))[0][0]
 
 
 def _generator_actions(ch):
     """The generators' (matrix, norm) pairs on M, for _complex."""
-    return [_action(ch, ch.generator(i), _pole_exponents(ch.m))
-            for i in range(1, ch.s + 1)]
+    gens = [ch.generator(i) for i in range(1, ch.s + 1)]
+    return _action(ch, gens, _pole_exponents(ch.m))
 
 
 # -- brute-force H^1 ----------------------------------------------------------
 
-def component_action_matrix(ch, g, r, K):
-    """Matrices of g and of its norm 1 + g + ... + g^{p-1} on the
-    degree-(r mod m) component of T_K/T, levels -K..-1 in this order:
-    level -l stands for the pole exponent r - m - 1 - lm, below the
-    exponents >= -m-1 of T.  The level gap of entry (i, j) is i - j."""
-    m = ch.m
-    return _action(ch, g, range(r - m - 1 - K * m, r - m - 1, m))
+def component_action_matrix(ch, r, K):
+    """The generators' (matrix, norm) pairs on the degree-(r mod m)
+    component of T_K/T, levels -K..-1 in this order: level -l stands for
+    the pole exponent r - m - 1 - lm, below the exponents >= -m-1 of T.
+    The level gap of entry (i, j) is i - j."""
+    m, gens = ch.m, [ch.generator(i) for i in range(1, ch.s + 1)]
+    return _action(ch, gens, range(r - m - 1 - K * m, r - m - 1, m))
 
 
 def _multi_indices(s, n):
@@ -241,9 +243,7 @@ def _component_classes(ch, r, B):
     parts."""
     m, q = ch.m, ch.p ** ch.s
     K = (B + r - m - 1) // m
-    gens = [component_action_matrix(ch, ch.generator(i), r, K)
-            for i in range(1, ch.s + 1)]
-    d0 = _complex(ch.field, gens, 0)[0]
+    d0 = _complex(ch.field, component_action_matrix(ch, r, K), 0)[0]
     inv, pivots = linalg.rref(ch.field, linalg.nullspace(ch.field, d0, K))
     return [row for row, c in zip(inv, pivots)
             if (r - m - 1 - (K - c) * m) % q]

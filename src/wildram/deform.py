@@ -31,12 +31,6 @@ class NoSolution(ArithmeticError):
     pass
 
 
-def deformation_window(m):
-    """The t-precision to which the tangent and obstruction cocycles are
-    read at conductor m: three times the m + 2 their pole parts need."""
-    return 3 * (m + 2)
-
-
 @dataclass(frozen=True)
 class MatrixRep:
     """Full tables over V of the lower-left entries C and diagonal units
@@ -125,6 +119,8 @@ class DeformationDatum:
         return make_matrix_rep(A, self.ch, Cgens, lamgens)
 
     def ftilde(self, prec):
+        """1/(t^m + eps sum a1[mu] t^mu), known to t^(prec - 2(m - mu)) for
+        the least moving mu: inverting loses twice the reach below t^m."""
         A = self.algebra()
         eps = A.eps()
         terms = {self.ch.m: A.one()}
@@ -236,7 +232,7 @@ def deformed_rho(rep, ftilde, g, prec):
         work += work - reached
 
 
-def tangent_cocycle_extract(rep, ftilde, prec=None):
+def tangent_cocycle_extract(rep, ftilde):
     """The 1-cochain sigma -> pole part of h_sigma / t^{m+1} where
     rho~_sigma = (t + eps h_sigma) o rho_sigma; verified to be a cocycle for
     the pole-part module action.
@@ -244,14 +240,17 @@ def tangent_cocycle_extract(rep, ftilde, prec=None):
     rho~_sigma comes from deformed_rho.  It equals rho_sigma +
     eps h_sigma(rho_sigma), and h(rho_sigma) = h mod t^{m+1} for h in
     k[[t]] since rho_sigma = t mod t^{m+1}: the pole part reads h mod
-    t^{m+1} only, so it is read off the eps part of rho~_sigma."""
+    t^{m+1} only, so it is read off the eps part of rho~_sigma.
+
+    rho~_sigma is solved mod t^(m+2), which checks the equation through
+    its constant term, where C(sigma) enters.  That certifies once ftilde
+    is known to t^(m + 1 - mu), mu the least moving term: the error is read
+    below t^1, and its term F_1 delta is known at most m - mu short of
+    ftilde.  A shorter ftilde raises NoSolution."""
     A, ch = rep.A, rep.ch
     if A.n != 2:
         raise ValueError("tangent extraction needs the dual numbers")
-    if prec is None:
-        prec = deformation_window(ch.m)
-    if prec < ch.m + 2:
-        raise NoSolution("insufficient precision for the pole window")
+    prec = ch.m + 2
     vals = []
     for i in range(1, ch.s + 1):
         g = ch.generator(i)
@@ -312,14 +311,17 @@ def obstruction_two_cocycle(rep, lifts):
     o rho~_gh: sum_i f(sigma_j^i, sigma_j) telescopes to the power defect
     and f(sigma_j, sigma_k) - f(sigma_k, sigma_j) is the commutator.  Each
     value of f is a sum of translates of defects, so f vanishes when they
-    do, and f is a coboundary exactly when they lie in the image of d^1."""
+    do, and f is a coboundary exactly when they lie in the image of d^1.
+    The defects are read mod t^(m+2), from the lifts as given: composing
+    loses n - 1 terms only to a nilpotent t^0 term of the inner series, so
+    lifts to t^(m + 2 + (p-1)(n-1)) always serve, and of lead 1 to t^(m+2)."""
     A, ch = rep.A, rep.ch
     m, top = ch.m, A.n - 1
     for i in range(1, ch.s + 1):
         res = lifts[i].residue()
         if not res.eq_to_prec(build_rho(ch, ch.generator(i), res.prec)):
             raise ReductionMismatch("lift %d does not reduce to rho" % i)
-    gens = [lifts[i].truncate(deformation_window(m)) for i in range(1, ch.s + 1)]
+    gens = [lifts[i] for i in range(1, ch.s + 1)]
     t = LaurentSeries.t_power(A, 1, INF)
     relations = []
     for j, L in enumerate(gens):

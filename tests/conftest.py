@@ -6,11 +6,11 @@ from math import comb
 import pytest
 
 from wildram import linalg
+from wildram.addpoly import moore_det, ore_recursion
 from wildram.ascover import ReductionMismatch
 from wildram.autoreps import build_rho, group_mul, make_character, peeled
 from wildram.coeffring import make_field
 from wildram.cohomology import PolePartClass, action_matrix, cocycle_class_vector
-from wildram.deform import deformation_window
 from wildram.series import INF, LaurentSeries, compose
 
 
@@ -60,9 +60,11 @@ def bar_obstruction_table(rep, lifts):
     filled by peeling generators.  With rho~_g rho~_h = (t + eps^{n-1} h) o
     rho~_gh, entry (g, h) is the pole part of h / t^{m+1}, read off the
     eps^{n-1} part of rho~_g rho~_h - rho~_gh = eps^{n-1} h(rho_gh), since
-    h(rho_gh) = h mod t^{m+1} for h in k[[t]]."""
+    h(rho_gh) = h mod t^{m+1} for h in k[[t]].  As the library does, it
+    composes the lifts at the precision they carry, refuses an entry known
+    short of t^(m+2), and refuses lower eps-parts that are nonzero anywhere
+    in their known terms."""
     A, ch = rep.A, rep.ch
-    prec = deformation_window(ch.m)
     top = A.n - 1
     for i in range(1, ch.s + 1):
         res = lifts[i].residue()
@@ -73,7 +75,6 @@ def bar_obstruction_table(rep, lifts):
     for g, i, rest in peeled(ch):
         lift[g.exps] = (lifts[g.exps] if g.exps in lifts
                         else compose(lifts[i + 1], lift[rest.exps]))
-    lift = {e: T.truncate(prec) for e, T in lift.items()}
     table = {}
     for g in ch.group():
         for h in ch.group():
@@ -99,6 +100,22 @@ def module_action(ch, g, x):
 def classes_equal(ch, a, b):
     """Helper: whether two 1-cocycles on M differ by a coboundary."""
     return cocycle_class_vector(ch, a) == cocycle_class_vector(ch, b)
+
+
+def additive_poly_from_character(ch, omit):
+    """Helper: the monic additive polynomial whose roots are the F_p-span
+    of the character values with value ``omit`` (1-based) left out."""
+    vals = list(ch.vals)
+    del vals[omit - 1]
+    return ore_recursion(ch.field, [v.raw for v in vals])[0]
+
+
+def moore_swap_identity_check(ch, i):
+    """Helper: the cyclic-shift sign identity for Moore determinants."""
+    vals = list(ch.vals)
+    moved = vals[:i - 1] + vals[i:] + [vals[i - 1]]
+    rhs = moore_det(vals)
+    return moore_det(moved) == (-rhs if (ch.s - i) % 2 else rhs)
 
 
 def laplace_det(ring, mat):

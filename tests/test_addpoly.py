@@ -7,17 +7,16 @@ import pytest
 
 from wildram.addpoly import (
     PPolynomial,
-    additive_poly_from_character,
     frobenius_minus_identity,
     moore_det,
-    moore_swap_identity_check,
     ore_recursion,
     ppoly_apply,
 )
 from wildram.coeffring import make_artin_algebra, make_field
 from wildram.series import LaurentSeries
 
-from conftest import COVER_GRID, character_for, laplace_det, moore_rows
+from conftest import (COVER_GRID, additive_poly_from_character, character_for,
+                      laplace_det, moore_rows, moore_swap_identity_check)
 
 ORACLE_GRID = COVER_GRID + [(2, 3, 3), (3, 3, 2)]
 

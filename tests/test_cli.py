@@ -1,5 +1,6 @@
 """The batch front-end: config validation, reports, goldens, exit codes."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wildram
-from wildram import autoreps, coeffring, deform
+from wildram import autoreps, coeffring
 from wildram.cli import (
     KNOWN_TASKS,
     MAX_ARTIN_ORDER,
@@ -16,10 +17,11 @@ from wildram.cli import (
     ConfigInvalid,
     UnknownTask,
     compare_golden,
-    deform_precision,
     main,
     parse_config,
     run,
+    sample_ftilde_precision,
+    selftest,
     selftest_grid,
     strip_timing,
 )
@@ -188,8 +190,8 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_oversized_jobs_exit_2_before_building_fields(tmp_path, monkeypatch, capsys):
     """Fields above q = 625, precisions or Artin orders above their caps,
-    and a deform task whose series of 24(m+2) terms would pass the
-    precision cap (m = 41 is the least such m) are rejected as
+    and a deform task whose longest series, 5m + 1 terms, would pass the
+    precision cap (m = 205 is the least such m) are rejected as
     configuration errors with a message, before any field is enumerated."""
     real_modulus = coeffring._default_modulus
     oversized = []
@@ -210,7 +212,8 @@ def test_oversized_jobs_exit_2_before_building_fields(tmp_path, monkeypatch, cap
                          (sample_config(precision=MAX_PRECISION + 1), "/precision"),
                          (sample_config(artin_order=MAX_ARTIN_ORDER + 1),
                           "/artin_order"),
-                         (sample_config(character={"s": 1, "m": 41, "vals": [[1]]},
+                         (sample_config(character={"s": 1, "m": 205, "vals": [[1]]},
+                                        precision=MAX_PRECISION,
                                         tasks=["rho", {"name": "deform"}]),
                           "/character/m")]:
         with pytest.raises(ConfigInvalid) as exc:
@@ -223,19 +226,27 @@ def test_oversized_jobs_exit_2_before_building_fields(tmp_path, monkeypatch, cap
     assert not oversized
 
 
-def test_deform_cap_is_eight_deformation_windows():
-    """The deform task builds series to eight deformation windows of
-    3(m+2): m = 40 is the largest conductor under the precision cap."""
+def test_deform_cap_is_the_sample_denominator():
+    """The longest series of the deform task is the denominator of a
+    sample's ftilde: 5m + 1 terms, from the precision 3m + 1 that the
+    extraction needs.  m = 204 is the largest conductor under the
+    precision cap."""
     def job(m):
-        return sample_config(character={"s": 1, "m": m, "vals": [[1]]},
+        return sample_config(field={"p": 7, "d": 1},
+                             character={"s": 1, "m": m, "vals": [[1]]},
+                             precision=MAX_PRECISION,
                              tasks=["predicates", "deform"])
 
-    assert parse_config(job(40))["ch"].m == 40
-    assert deform_precision(40) == 8 * deform.deformation_window(40) == 1008
+    def longest(m):
+        return sample_ftilde_precision(m) + 2 * m
+
+    assert parse_config(job(204))["ch"].m == 204
+    assert longest(204) == 5 * 204 + 1 <= MAX_PRECISION
     with pytest.raises(ConfigInvalid) as exc:
-        parse_config(job(41))
+        parse_config(job(205))
     assert exc.value.pointer == "/character/m"
-    assert deform_precision(41) > MAX_PRECISION
+    assert str(exc.value).endswith("to %d terms, above the limit %d"
+                                   % (longest(205), MAX_PRECISION))
 
 
 def test_rank_above_the_field_degree_exits_2_without_a_moore_determinant(
@@ -380,6 +391,19 @@ def test_selftest_grid_is_fixed():
     assert len(grid) == 15
     assert all(pt["seed"] == 7 for pt in grid)
     assert grid == selftest_grid()
+
+
+# sha256 and length of json.dumps(selftest(), sort_keys=True).  A deliberate
+# change of the report updates both, together with a CHANGES.md line that
+# says what changed in the report and why.
+SELFTEST_SHA256 = "9652a92e0cde1c06d21b0cf2add07496c7a2a5eafacd83de799c595966364549"
+SELFTEST_BYTES = 21469
+
+
+def test_selftest_report_digest_is_pinned():
+    text = json.dumps(selftest(), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == \
+        (SELFTEST_SHA256, SELFTEST_BYTES)
 
 
 def test_strip_timing_removes_all_timing():

@@ -284,6 +284,29 @@ def test_malformed_raw_values_are_refused(case):
         LaurentSeries.make(ring, {0: value}, 5)
 
 
+A5_2 = make_artin_algebra(F5, 2)
+MALFORMED_VECTORS = {
+    "field_too_long": (F5, [1, 2, 3]), "field_out_of_range": (F5, [7]),
+    "field_negative": (F5, [-1]), "field_float": (F5, [1.0]),
+    "extension_too_long": (make_field(3, 2), [1, 2, 0]),
+    "artin_too_long": (A5_2, [[1], [2], [3]]),
+    "artin_out_of_range": (A5_2, [[5], [0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VECTORS))
+def test_malformed_coefficient_vectors_are_refused(case):
+    """A coefficient vector becomes a raw value only if it names an element:
+    at most d entries in range(p) over GF(p^d), at most n such vectors over
+    F_q[eps]/eps^n.  [1, 2, 3] over GF(5) was read as the raw 86, and three
+    eps-components over eps^2 as a 3-tuple."""
+    ring, vec = MALFORMED_VECTORS[case]
+    with pytest.raises(RingMismatch):
+        ring.raw_from_vector(vec)
+    with pytest.raises(RingMismatch):
+        LaurentSeries.from_dict(ring, {"lead": 0, "prec": 3, "coeffs": [vec]})
+
+
 def test_raw_artin_tuples_are_kept():
     for raw in itertools.product((0, 1, 8), repeat=3):
         assert A9_3.to_raw(raw) == raw

@@ -71,8 +71,8 @@ def component_levels(ch, r, B):
 
 def is_fixed(ch, r, K, v):
     """Whether every generator's component action fixes v."""
-    return all(linalg.mat_vec(ch.field, component_action_matrix(
-        ch, ch.generator(i), r, K)[0], v) == v for i in range(1, ch.s + 1))
+    return all(linalg.mat_vec(ch.field, mat, v) == v
+               for mat, _ in component_action_matrix(ch, r, K))
 
 
 def random_pole_class(ch, rng):
@@ -142,11 +142,12 @@ def test_h1_formula_matches_brute_force_at_s3(p, s, m):
 
 def test_h1_builds_no_products_and_one_lucas_row_per_column(monkeypatch):
     """Timer-free cost guard: at (5,2,6) h1_brute_force multiplies no
-    matrices and computes no binomial entry by entry.  Each column of each
-    generator's action on each component of t^{-B} k[[t]] / T is one Lucas
-    row, s (K_0 + ... + K_{m-1}) rows in all.  Building the norms as
-    (sigma - 1)^{p-1} took 3 products per generator and component, and the
-    action one binom_mod_p call per entry."""
+    matrices and computes no binomial entry by entry.  Each column of the
+    action on each component of t^{-B} k[[t]] / T is one Lucas row, shared
+    by the s generators, K_0 + ... + K_{m-1} rows in all.  Building the
+    norms as (sigma - 1)^{p-1} took 3 products per generator and component,
+    the action one binom_mod_p call per entry, and one Lucas row per
+    generator and column s times as many rows."""
     ch = character_for(5, 2, 6)
     products, entries, rows = [], [], []
     binom_row = cohomology.binom_row_mod_p
@@ -164,8 +165,7 @@ def test_h1_builds_no_products_and_one_lucas_row_per_column(monkeypatch):
     assert out["dim"] == h1_closed_formula(5, 2, 6)
     assert not products and not entries
     B = out["pole_bound"]
-    assert len(rows) == ch.s * sum(component_levels(ch, r, B)[0]
-                                   for r in range(ch.m))
+    assert len(rows) == sum(component_levels(ch, r, B)[0] for r in range(ch.m))
 
 
 @pytest.mark.parametrize("p,s,m", small_grid() + [(3, 2, 10), (5, 2, 6), (3, 3, 2)])
@@ -292,7 +292,7 @@ def test_component_matrices_match_series_action(p, s, m):
         full = tangent_action_matrix(ch, g, 1, below)
         for r in range(m):
             K, exps = component_levels(ch, r, B)
-            comp = component_action_matrix(ch, g, r, K)[0]
+            comp = component_action_matrix(ch, r, K)[i - 1][0]
             idx = [e + m + 1 + below for e in exps]
             assert comp == [[full[a][b] for b in idx] for a in idx]
 
@@ -388,11 +388,9 @@ def generator_modules(ch):
     """The generators' (matrix, norm) pairs on M and on each graded
     component of t^{-B} k[[t]] / T at h1_brute_force's B, as _complex takes
     them."""
-    gens = [ch.generator(i) for i in range(1, ch.s + 1)]
     B = ch.order() * (ch.m + 1)
     modules = [_generator_actions(ch)]
-    modules += [[component_action_matrix(ch, g, r, component_levels(ch, r, B)[0])
-                 for g in gens]
+    modules += [component_action_matrix(ch, r, component_levels(ch, r, B)[0])
                 for r in range(ch.m)]
     return modules
 

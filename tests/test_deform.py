@@ -38,6 +38,7 @@ from wildram.deform import (
     tangent_cocycle_extract,
     trivial_rep,
 )
+from wildram.cli import sample_ftilde_precision
 from wildram.series import INF, LaurentSeries, compose, invert_unit_series, revert
 
 from conftest import (bar_obstruction_table, character_for, classes_equal,
@@ -346,8 +347,9 @@ def test_tangent_extraction_product_count(monkeypatch):
 def test_tangent_extraction_composes_only_with_the_memoized_rho(monkeypatch):
     """Timer-free cost guard: one extraction at (5,2,19) composes ftilde
     and its derivative, at most twice per generator over the dual numbers,
-    always with the memoized field series rho_g at the derived working
-    precision as the inner series, and inverts no series directly.  The
+    always with the memoized field series rho_g as the inner series, at
+    the working precision derived from the window m + 2, and inverts no
+    series directly.  The
     chord solve composed ftilde with a fresh T over A; the Newton solve
     composed ftilde' as well and inverted the result."""
     ch = character_for(5, 2, 19)
@@ -367,7 +369,7 @@ def test_tangent_extraction_composes_only_with_the_memoized_rho(monkeypatch):
     monkeypatch.setattr(deform, "compose", tracing_compose)
     monkeypatch.setattr(deform, "invert_unit_series", tracing_invert)
     tangent_cocycle_extract(rep, ftilde)
-    work = deform.deformation_window(ch.m) + 2 * (-ftilde.lead - ch.m)
+    work = ch.m + 2 + 2 * (-ftilde.lead - ch.m)
     rhos = [build_rho(ch, ch.generator(i), work) for i in range(1, ch.s + 1)]
     dft = ftilde.derivative(1)
     assert calls and len(calls) <= 2 * ch.s
@@ -515,13 +517,58 @@ def test_extraction_matches_composition_with_inverse(p, s, m):
     assert nonzero
 
 
-def test_tangent_extraction_refuses_a_window_short_of_the_pole_part():
-    """The pole part of h / t^{m+1} reads h mod t^{m+1}; a precision below
-    m + 2 cannot fix it."""
-    ch = character_for(3, 1, 2)
-    datum = seeded_datum(ch, random.Random(4))
-    with pytest.raises(NoSolution):
-        tangent_cocycle_extract(datum.matrix_rep(), datum.ftilde(60), ch.m + 1)
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_sample_ftilde_precision_is_the_least_that_always_certifies(p, s, m):
+    """The samples' ftilde precision 3m + 1 of the deform task: on two
+    seeded data per point, each extraction from ftilde(P), 1 <= P <= 3m + 1,
+    raises NoSolution or equals the composed extraction at 3(m+2) from a
+    long ftilde.  Once one certifies, every longer ftilde does, and at
+    P = 3m + 1 every one certifies.  Every point refuses some short
+    ftilde."""
+    ch = character_for(p, s, m)
+    rng = random.Random(700 + 100 * p + 10 * s + m)
+    top = sample_ftilde_precision(m)
+    assert top == 3 * m + 1
+    refused = False
+    for _ in range(2):
+        datum = seeded_datum(ch, rng)
+        rep = datum.matrix_rep()
+        want = composed_extraction(rep, datum.ftilde(16 * (m + 2)), 3 * (m + 2))
+        certified = False
+        for P in range(1, top + 1):
+            try:
+                got = tangent_cocycle_extract(rep, datum.ftilde(P))
+            except NoSolution:
+                assert not certified and P < top
+                refused = True
+                continue
+            assert got == want
+            certified = True
+    assert refused
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_lifts_short_of_the_window_are_refused(p, s, m):
+    """The defects are read mod t^(m+2).  Straight lifts, of lead 1, serve
+    at m + 2 and are refused at m + 1.  With lift 1 bumped by eps^{n-1} at
+    t^0, each composition loses n - 1 terms, so m + 2 + (p-1)(n-1) serves
+    and one less is refused."""
+    ch = character_for(p, s, m)
+    for order in (2, 3):
+        A = make_artin_algebra(ch.field, order)
+        rep = trivial_rep(A, ch)
+        ft0 = LaurentSeries.t_power(A, -m, INF)
+        reach = m + 2 + (p - 1) * (order - 1)
+        lifts = {i: deformed_rho(rep, ft0, ch.generator(i), reach)
+                 for i in range(1, s + 1)}
+        bump = LaurentSeries.make(A, {0: A.from_raw((0,) * (order - 1) + (1,))}, INF)
+        bumped = {**lifts, 1: lifts[1] + bump}
+        for case, prec in ((lifts, m + 2), (bumped, reach)):
+            obstruction_two_cocycle(
+                rep, {i: L.truncate(prec) for i, L in case.items()})
+            with pytest.raises(ReductionMismatch, match="precision"):
+                obstruction_two_cocycle(
+                    rep, {i: L.truncate(prec - 1) for i, L in case.items()})
 
 
 def test_deformed_rho_reduces_to_rho():
@@ -757,7 +804,9 @@ def test_relation_defects_match_the_bar_table(p, s, m):
 def test_obstruction_rejects_disagreement_below_the_kernel():
     """Over eps^3 a bump by eps t^2 of the generator lift breaks the power
     relation at eps^1, so the lifts are no representation modulo eps^2;
-    the defects and the bar table refuse them alike."""
+    the defects and the bar table refuse them alike.  The break is
+    2t^6 + t^10, above the t^(m+2) in which the defects are read; it shows
+    because the lifts, known to t^12, are composed whole."""
     ch = character_for(3, 1, 2)
     rep, ft, lifts = straight_lifts(ch, 3)
     A = rep.A
