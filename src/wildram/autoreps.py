@@ -161,8 +161,10 @@ def build_rho(ch, g, prec=None):
 
 
 def verify_group_law(ch, prec=None):
-    """Check rho_sigma o rho_tau = rho_{sigma tau} on generator pairs and,
-    for larger groups, on a random sample of general pairs."""
+    """Check rho_sigma o rho_tau = rho_{sigma tau} on the generator pairs
+    first, then on every pair of ch.group() when |V|^2 <= 625, else on 25
+    seeded random pairs; first_discrepancy is the first failing pair in
+    that order, and the check stops there."""
     if prec is None:
         prec = default_precision(ch.p, ch.m)
     pairs = []

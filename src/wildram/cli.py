@@ -29,9 +29,11 @@ from .series import INF, LaurentSeries, invert_unit_series
 
 SCHEMA = "wildram-report/1"
 KNOWN_TASKS = ("rho", "cohomology", "ascover", "deform", "predicates")
-# Resource caps on a job: series are built to `precision` terms, and in the
-# deformation task, which works over F_q[eps]/eps^artin_order, to at most
-# the 5m + 1 terms of a sample's ftilde denominator (sample_ftilde_precision).
+# Resource caps on a job: the rho task builds series to `precision` terms,
+# the conductor m stays below the cap (m + 2 <= MAX_PRECISION), and the
+# deformation task, which works over F_q[eps]/eps^artin_order, builds at
+# most the 5m + 1 terms of a sample's ftilde denominator
+# (sample_ftilde_precision).
 MAX_PRECISION = 1024
 MAX_ARTIN_ORDER = 16
 # Seeded first-order data the deform task extracts and checks per job.
@@ -78,6 +80,8 @@ def parse_config(data):
     vals = chd.get("vals")
     _require(isinstance(s, int) and s >= 1, "/character/s", "positive rank required")
     _require(isinstance(m, int) and m >= 1, "/character/m", "positive conductor required")
+    _require(m <= MAX_PRECISION - 2, "/character/m",
+             "conductor %d above the limit %d" % (m, MAX_PRECISION - 2))
     _require(isinstance(vals, list) and len(vals) == s,
              "/character/vals", "need exactly s generator values")
     try:
@@ -90,8 +94,6 @@ def parse_config(data):
              "order %d above the limit %d" % (n, MAX_ARTIN_ORDER))
     prec = data.get("precision", default_precision(p, m))
     _require(isinstance(prec, int) and prec > m + 1, "/precision", "too small")
-    _require(prec <= MAX_PRECISION, "/precision",
-             "precision %d above the limit %d" % (prec, MAX_PRECISION))
     seed = data.get("seed", 0)
     _require(isinstance(seed, int), "/seed", "integer required")
     tasks = data.get("tasks", [])
@@ -105,6 +107,11 @@ def parse_config(data):
         if t["name"] not in KNOWN_TASKS:
             raise UnknownTask("/tasks/%d/name" % i, t["name"])
         parsed.append(t)
+    # only the rho task reads the precision: a given one is always held to
+    # the cap, the default 4(m + 1)p only when rho runs
+    _require(prec <= MAX_PRECISION or ("precision" not in data
+                                       and all(t["name"] != "rho" for t in parsed)),
+             "/precision", "precision %d above the limit %d" % (prec, MAX_PRECISION))
     longest = sample_ftilde_precision(m) + 2 * m
     _require(all(t["name"] != "deform" for t in parsed)
              or longest <= MAX_PRECISION, "/character/m",

@@ -15,7 +15,11 @@ two powers already there.  inner^j is cut to the precision that j steps of
 dense Horner evaluation reach, so the sum carries the precision a Horner
 loop over every exponent of the outer would.  The group law composes
 |V|^2 outers with |V| inners: each power is computed once per inner, not
-once per pair.  The inner may be a series over
+once per pair, and once the table holds the powers an outer needs, each is
+one dict read.  The sum is accumulated sparsely, in one exponent -> value
+dict per eps-component holding only the exponents the powers carry below
+the result's precision, so a composition costs the terms it reads, not the
+span of exponents they cover.  The inner may be a series over
 the residue field of the outer's Artin ring, so that every outer over any
 F_q[eps]/eps^n shares the field inner's table.
 """
@@ -157,7 +161,7 @@ class LaurentSeries:
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("incompatible coefficient rings")
 
     def __add__(self, other):
@@ -312,8 +316,12 @@ class LaurentSeries:
         bound = min(self.prec, other.prec)
         if upto is not None:
             bound = min(bound, upto)
-        for e in set(self.coeffs) | set(other.coeffs):
-            if e < bound and self.coeff(e) != other.coeff(e):
+        a, b = self.coeffs, other.coeffs
+        for e, c in a.items():
+            if e < bound and b.get(e) != c:
+                return False
+        for e in b:
+            if e < bound and e not in a:
                 return False
         return True
 
@@ -404,10 +412,12 @@ def compose(outer, inner):
     inner owns (_table_powers), inner^(-j) as a power of one 1/inner kept
     there too.  Its precision is the least of its powers', and at most
     cap, what the precision of outer allows, with the nilpotency of
-    inner's ring.
+    inner's ring.  The sum is accumulated in one exponent -> field index
+    dict per eps-component, over the terms of the powers below that
+    precision only; the components' zeros are dropped at the end.
     """
     r, ir = outer.ring, inner.ring
-    if ir != r and (ring_is_field(r) or ir != r.base):
+    if ir is not r and ir != r and (ring_is_field(r) or ir != r.base):
         raise RingMismatch("incompatible coefficient rings")
     if inner.is_zero():
         if outer.lead < 0:
@@ -420,11 +430,11 @@ def compose(outer, inner):
     if rv < 1:
         raise CompositionDiverges("inner valuation must be >= 1")
 
-    nil = ir.nilpotency
+    nil, lead = ir.nilpotency, inner.lead
     if outer.prec >= INF:
         cap = INF
     else:
-        cap = (outer.prec - (nil - 1)) * rv + (nil - 1) * min(inner.lead, rv)
+        cap = (outer.prec - (nil - 1)) * rv + (nil - 1) * min(lead, rv)
 
     table = inner._powers
     if table is None:
@@ -435,7 +445,7 @@ def compose(outer, inner):
     # The nonnegative half starts from the precision of zero * inner, as a
     # Horner loop over every exponent does: INF + L below INF for an
     # inexact inner of lead L < 0.
-    start = INF if inner.prec >= INF else INF + min(0, inner.lead)
+    start = INF if inner.prec >= INF else INF + min(0, lead)
     powers = [LaurentSeries.one(ir, start)] if 0 in outer.coeffs else []
     powers += _table_powers(table, inner, 1, start, pos)
     if neg:
@@ -445,49 +455,57 @@ def compose(outer, inner):
         powers += _table_powers(table, inv, -1, INF, neg)
     coeffs = [outer.coeffs[e] for e in exps if e >= 0] + \
         [outer.coeffs[-j] for j in neg]
-
     prec = min([cap] + [x.prec for x in powers])
-    terms = [(x, c) for x, c in zip(powers, coeffs) if x.coeffs]
-    if not terms:
-        return LaurentSeries._clean(r, {}, prec)
-    lo = min(x.lead for x, _ in terms)
-    span = min(prec, max(max(x.coeffs) for x, _ in terms) + 1) - lo
-    if span <= 0:
-        return LaurentSeries._clean(r, {}, prec)
-    field = ring_is_field(r)
-    add, mul = (r if field else r.base).tables()[:2]
-    n = 1 if field else r.n
-    acc = [[0] * span for _ in range(n)]
+
+    if ring_is_field(r):
+        add, mul = r.tables()[:2]
+        acc = {}
+        get = acc.get
+        for x, c in zip(powers, coeffs):
+            row = mul[c]
+            for e, v in x.coeffs.items():
+                if e < prec:
+                    acc[e] = add[get(e, 0)][row[v]]
+        return LaurentSeries._clean(r, {e: v for e, v in acc.items() if v}, prec)
+
+    add, mul = r.base.tables()[:2]
+    n = r.n
+    acc = [{} for _ in range(n)]
     # eps^i c_i times eps^j v_j lands in eps-component i + j if i + j < n;
     # a power over the residue field has v = v_0 only
     inner_field = ring_is_field(ir)
-    for x, c in terms:
-        for i, ci in enumerate([c] if field else c):
+    for x, c in zip(powers, coeffs):
+        for i, ci in enumerate(c):
             if not ci:
                 continue
             row = mul[ci]
             if inner_field:
                 out = acc[i]
+                get = out.get
                 for e, v in x.coeffs.items():
-                    k = e - lo
-                    if k < span:
-                        out[k] = add[out[k]][row[v]]
+                    if e < prec:
+                        out[e] = add[get(e, 0)][row[v]]
                 continue
             for e, v in x.coeffs.items():
-                k = e - lo
-                if k >= span:
-                    continue
-                for j in range(n - i):
-                    if v[j]:
-                        out = acc[i + j]
-                        out[k] = add[out[k]][row[v[j]]]
-    return _from_rows(r, acc, lo, prec, field)
+                if e < prec:
+                    for j in range(n - i):
+                        if v[j]:
+                            out = acc[i + j]
+                            out[e] = add[out.get(e, 0)][row[v[j]]]
+    terms = {}
+    for e in set().union(*acc):
+        v = tuple([a.get(e, 0) for a in acc])
+        if any(v):
+            terms[e] = v
+    return LaurentSeries._clean(r, terms, prec)
 
 
 def _table_powers(table, base, sign, start, js):
     """base^j for each j in js (ascending, >= 1), from the table of powers
     keyed sign * j, with each missing power added to it.
 
+    When the table holds every power asked for, each is one dict read;
+    the first miss falls back to filling the table power by power.
     A missing power is the product of the nearest lower power and the power
     of the gap when the table has that, else of base^(j // 2) and
     base^(j - j // 2), found the same way.  base^j is cut to the precision
@@ -500,17 +518,23 @@ def _table_powers(table, base, sign, start, js):
     power is one dict store.
     """
     lead, bprec = base.lead, base.prec
-    have = None
 
     def cut(j):
         if bprec >= INF:
             return INF
         return min(start + j * lead, bprec + (j - 1) * lead)
 
+    first = base.truncate(cut(1))
+    try:
+        return [table[sign * j] if j > 1 else first for j in js]
+    except KeyError:
+        pass
+    have = None
+
     def power(j):
         nonlocal have
         if j == 1:
-            return base.truncate(cut(1))
+            return first
         x = table.get(sign * j)
         if x is None:
             if have is None:

@@ -189,6 +189,34 @@ def test_group_law_product_count(monkeypatch):
     assert len(calls) <= 1000
 
 
+@pytest.mark.parametrize("planted", [(2, 0), (1, 2)],
+                         ids=["generator_square", "general_element"])
+def test_group_law_reports_the_first_pair_through_a_wrong_rho(planted):
+    """A perturbed rho_g planted in the memo at (3,2,4) fails the law on
+    the first pair, generator pairs first, that has g on exactly one side
+    of rho_a o rho_b = rho_ab (with the identity as a factor g is on both
+    and the law holds): sigma_1 o sigma_1 for g = sigma_1^2, and a pair of
+    the second row of V x V for a g that no generator pair reaches.  The
+    pair count does not change."""
+    ch = character_for(3, 2, 4)
+    prec = default_precision(3, 4)
+    want_pairs = verify_group_law(character_for(3, 2, 4))["pairs_checked"]
+    g = autoreps.GroupElem(planted)
+    rho = build_rho(ch, g, prec)
+    ch.rho_memo[(g.exps, prec)] = rho + LaurentSeries.t_power(ch.field, 6, prec)
+    gens = [ch.generator(i) for i in (1, 2)]
+    order = [(a, b) for a in gens for b in gens] + \
+        [(a, b) for a in ch.group() for b in ch.group()]
+    first = next((a, b) for a, b in order
+                 if (g in (a, b)) != (g == group_mul(ch, a, b)))
+    res = verify_group_law(ch, prec)
+    assert not res["ok"]
+    assert res["pairs_checked"] == want_pairs == 4 + 81
+    assert res["first_discrepancy"] == first
+    assert first == ((gens[0], gens[0]) if planted == (2, 0)
+                     else (autoreps.GroupElem((0, 1)), autoreps.GroupElem((1, 1))))
+
+
 def test_rho_first_coefficients_small_case():
     """p=2, m=1, c=1: 1/rho^1 = 1/t + 1 means rho = t/(1+t) = t + t^2 + ..."""
     ch = character_for(2, 1, 1)

@@ -249,6 +249,41 @@ def test_deform_cap_is_the_sample_denominator():
                                    % (longest(205), MAX_PRECISION))
 
 
+def test_default_precision_is_capped_only_for_the_rho_task():
+    """Only the rho task reads the precision.  A deform-only job at p = 3,
+    m = 100 is accepted with the default 4(m + 1)p = 1212 above the cap; the
+    same job with rho is refused at /precision, as is a given precision
+    above the cap whatever the tasks."""
+    def job(tasks, **over):
+        return sample_config(character={"s": 1, "m": 100, "vals": [[1]]},
+                             tasks=tasks, **over)
+
+    assert autoreps.default_precision(3, 100) > MAX_PRECISION
+    assert parse_config(job(["deform"]))["ch"].m == 100
+    for cfg in [job(["deform", "rho"]),
+                job(["deform"], precision=MAX_PRECISION + 1)]:
+        with pytest.raises(ConfigInvalid) as exc:
+            parse_config(cfg)
+        assert exc.value.pointer == "/precision"
+
+
+def test_conductor_is_capped_whatever_the_tasks():
+    """m + 2 <= MAX_PRECISION, the bound a precision above m + 1 and under
+    the cap gave every job: a cohomology job at m = 1023 is refused at
+    /character/m, and m = 1021, the largest conductor under the bound
+    that is prime to 2, is accepted."""
+    def job(m):
+        return sample_config(field={"p": 2, "d": 1},
+                             character={"s": 1, "m": m, "vals": [[1]]},
+                             tasks=["cohomology"])
+
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(job(MAX_PRECISION - 1))
+    assert exc.value.pointer == "/character/m"
+    assert str(exc.value).endswith("conductor 1023 above the limit 1022")
+    assert parse_config(job(MAX_PRECISION - 3))["ch"].m == 1021
+
+
 def test_rank_above_the_field_degree_exits_2_without_a_moore_determinant(
         tmp_path, monkeypatch, capsys):
     """Twelve values in GF(2) are F_2-dependent; the job exits 2 at once

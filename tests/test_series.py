@@ -474,6 +474,119 @@ def test_compose_refuses_an_inner_over_another_ring():
             compose(outer, inner)
 
 
+def assert_clean(s):
+    """The series invariant: no zero raw value stored, no term at or above
+    the precision."""
+    assert not any(s.ring.raw_is_zero(c) for c in s.coeffs.values())
+    assert all(e < s.prec for e in s.coeffs)
+
+
+@pytest.mark.parametrize("prec,want", [(INF, {1: 4, 3: 2, 4: 1}), (3, {1: 4})],
+                         ids=["exact", "cut_at_3"])
+def test_compose_drops_a_cancelled_exponent(prec, want):
+    """(t^2 - t) o (t + t^2) = -t + 2t^3 + t^4 over F_5: the t^2 terms of
+    the two powers cancel, and an outer known to O(t^3) keeps no t^3 or
+    t^4 term."""
+    outer = LaurentSeries.make(F5, {2: 1, 1: -1}, prec)
+    inner = LaurentSeries.make(F5, {1: 1, 2: 1})
+    got = compose(outer, inner)
+    assert_clean(got)
+    assert (got.coeffs, got.prec) == (want, prec)
+    want = dense_compose(outer, inner)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["field_inner", "lifted_inner"])
+def test_compose_cancels_one_eps_component(lifted):
+    """Over F_9[eps]/eps^3, ((1 + eps) t^2 - t) o (t + t^2) cancels the
+    eps^0 component of t^2 and keeps eps t^2; ((1 + eps) t^2 - (1 + eps) t)
+    o (t + t^2) cancels every component, and t^2 is absent."""
+    neg_one = F9_EPS3.raw_neg(F9_EPS3.raw_one())
+    a = (1, 1, 0)
+    inner = LaurentSeries.make(F9, {1: 1, 2: 1}, 12)
+    if lifted:
+        inner = inner.lift_ring(F9_EPS3)
+    for terms, t2 in [({2: a, 1: neg_one}, (0, 1, 0)),
+                      ({2: a, 1: F9_EPS3.raw_neg(a)}, None)]:
+        outer = LaurentSeries(F9_EPS3, terms, 10)
+        got = compose(outer, inner)
+        assert_clean(got)
+        assert got.coeffs.get(2) == t2
+        want = dense_compose(outer, inner.lift_ring(F9_EPS3))
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_a_warm_table_makes_only_the_missing_products(monkeypatch):
+    """A second outer with the exponents of the first reads every power
+    from the inner's table and makes no product; an outer with one new
+    exponent makes one product per power the table lacks: t^7 is t^4 t^3,
+    and then t^10 is t^7 t^3."""
+    inner = LaurentSeries.make(F5, {1: 1, 2: 3, 5: 2}, 30)
+    outers = [LaurentSeries.make(F5, terms, 30) for terms in [
+        {-2: 1, 1: 2, 3: 1, 4: 4}, {-2: 3, 1: 1, 3: 2, 4: 1},
+        {-2: 3, 1: 1, 3: 2, 4: 1, 7: 2}, {1: 1, 10: 3}]]
+    wants = [dense_compose(o, inner) for o in outers]
+    calls = []
+    mul = LaurentSeries.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    made = []
+    for outer, want in zip(outers, wants):
+        before, keys = len(calls), set(inner._powers or ())
+        got = compose(outer, inner)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+        made.append((len(calls) - before, sorted(set(inner._powers) - keys)))
+    assert made[1:] == [(0, []), (1, [7]), (1, [10])]
+    assert made[0][0] > 0
+
+
+def test_eq_to_prec_sees_a_term_on_one_side_only():
+    a = LaurentSeries.make(F5, {1: 1, 3: 2}, 10)
+    b = LaurentSeries.make(F5, {1: 1}, 10)
+    assert not a.eq_to_prec(b)
+    assert not b.eq_to_prec(a)
+    assert a.eq_to_prec(b, upto=3) and b.eq_to_prec(a, upto=3)
+
+
+def test_eq_to_prec_ignores_terms_from_the_bound_on():
+    """The bound is the lesser precision: a difference at it or above it
+    is unknown on one side and ignored, one below it is not."""
+    a = LaurentSeries.make(F5, {1: 1}, 6)
+    for extra in [{6: 3}, {6: 3, 7: 1}, {9: 2}]:
+        b = LaurentSeries.make(F5, {1: 1, **extra}, 10)
+        assert a.eq_to_prec(b) and b.eq_to_prec(a)
+    b = LaurentSeries.make(F5, {1: 1, 5: 4}, 10)
+    assert not a.eq_to_prec(b) and not b.eq_to_prec(a)
+    b = LaurentSeries.make(F5, {1: 2}, 10)
+    assert not a.eq_to_prec(b) and not b.eq_to_prec(a)
+
+
+def test_eq_to_prec_upto():
+    a = LaurentSeries.make(F5, {1: 1, 4: 2}, 10)
+    b = LaurentSeries.make(F5, {1: 1, 4: 3}, 10)
+    assert a.eq_to_prec(b, upto=4) and b.eq_to_prec(a, upto=4)
+    assert not a.eq_to_prec(b, upto=5) and not b.eq_to_prec(a, upto=5)
+    assert not a.eq_to_prec(b, upto=20) and not a.eq_to_prec(b)
+
+
+def test_eq_to_prec_compares_every_eps_component():
+    """Raw values of F_9[eps]/eps^3 that differ in one component only."""
+    a = LaurentSeries(F9_EPS3, {2: (1, 2, 0), 4: (0, 0, 5)}, 8)
+    assert a.eq_to_prec(LaurentSeries(F9_EPS3, dict(a.coeffs), 9))
+    for i in range(3):
+        c = [1, 2, 0]
+        c[i] = (c[i] + 1) % 9
+        b = LaurentSeries(F9_EPS3, {2: tuple(c), 4: (0, 0, 5)}, 8)
+        assert not a.eq_to_prec(b) and not b.eq_to_prec(a)
+    b = LaurentSeries(F9_EPS3, {2: (1, 2, 0), 4: (0, 0, 5), 7: (0, 0, 1)}, 8)
+    assert not a.eq_to_prec(b) and not b.eq_to_prec(a)
+    assert a.eq_to_prec(b, upto=7)
+
+
 def first_derivative(a):
     """Reference: the derivative t^e -> e t^(e-1) as the only derivative
     was computed before the Hasse derivatives."""
