@@ -312,9 +312,15 @@ def obstruction_two_cocycle(rep, lifts):
     and f(sigma_j, sigma_k) - f(sigma_k, sigma_j) is the commutator.  Each
     value of f is a sum of translates of defects, so f vanishes when they
     do, and f is a coboundary exactly when they lie in the image of d^1.
-    The defects are read mod t^(m+2), from the lifts as given: composing
-    loses n - 1 terms only to a nilpotent t^0 term of the inner series, so
-    lifts to t^(m + 2 + (p-1)(n-1)) always serve, and of lead 1 to t^(m+2)."""
+    The defects are read mod t^(m+2).  Composing loses n - 1 terms to a
+    nilpotent t^0 term of the inner series and none to an inner of lead
+    >= 1 (compose's cap), so lifts to t^(m + 2 + (p-1)(n-1)) always serve,
+    and of lead 1 to t^(m+2).  Over eps^2 the relations below the kernel
+    are those of the residues, rho itself, checked on the whole lifts, so
+    longer lifts are cut to that window before composing: the cost follows
+    the window, not the lifts' length.  Over eps^n, n >= 3, the lifts are
+    composed as given, so that the relations below the kernel are checked
+    to their full precision; so are lifts with a nilpotent pole."""
     A, ch = rep.A, rep.ch
     m, top = ch.m, A.n - 1
     for i in range(1, ch.s + 1):
@@ -322,6 +328,10 @@ def obstruction_two_cocycle(rep, lifts):
         if not res.eq_to_prec(build_rho(ch, ch.generator(i), res.prec)):
             raise ReductionMismatch("lift %d does not reduce to rho" % i)
     gens = [lifts[i] for i in range(1, ch.s + 1)]
+    lead = min(L.lead for L in gens)
+    if top == 1 and lead >= 0:
+        window = m + 2 + (ch.p - 1) * top * (lead == 0)
+        gens = [L.truncate(window) for L in gens]
     t = LaurentSeries.t_power(A, 1, INF)
     relations = []
     for j, L in enumerate(gens):

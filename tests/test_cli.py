@@ -441,6 +441,30 @@ def test_selftest_report_digest_is_pinned():
         (SELFTEST_SHA256, SELFTEST_BYTES)
 
 
+# sha256 and length of json.dumps(strip_timing(run(job)), sort_keys=True)
+# for the slowest accepted ascover jobs, V = (Z/p)^d in GF(p^d) with the
+# unit vectors as values and m = 1021, as recorded when each product still
+# accumulated dense rows over its whole span (15 s and 14 s per job).
+ASCOVER_CORNERS = {
+    (5, 3): ("10b21a4a81d4a94c2552578a6b517db0027849b9ea9644fa7806c71f0ae49598",
+             1393129),
+    (2, 6): ("b1e0c99e5dce29739b10cab7e59a88ab6233a180ae4ac5483ce951774c366b34",
+             1287067),
+}
+
+
+@pytest.mark.parametrize("p,d", sorted(ASCOVER_CORNERS))
+def test_ascover_corner_report_is_pinned(p, d):
+    vals = [[int(i == j) for j in range(d)] for i in range(d)]
+    report = run({"field": {"p": p, "d": d},
+                  "character": {"s": d, "m": 1021, "vals": vals},
+                  "tasks": ["ascover"]})
+    assert report["summary"]["ok"]
+    text = json.dumps(strip_timing(report), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == \
+        ASCOVER_CORNERS[(p, d)]
+
+
 def test_strip_timing_removes_all_timing():
     node = {"timing": 1, "a": [{"timing": {"x": 2}, "b": 3}]}
     assert strip_timing(node) == {"a": [{"b": 3}]}

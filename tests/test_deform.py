@@ -571,6 +571,49 @@ def test_lifts_short_of_the_window_are_refused(p, s, m):
                     rep, {i: L.truncate(prec - 1) for i, L in case.items()})
 
 
+@pytest.mark.parametrize("p,s,m", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 3),
+                                   (3, 2, 2), (3, 2, 4), (5, 2, 3)])
+def test_long_lifts_give_the_defects_of_their_window(p, s, m, monkeypatch):
+    """Over eps^2, lifts of 3(m+2) terms give the same defects as the same
+    lifts cut at the window, m + 2, or m + 2 + (p-1) with a nilpotent t^0
+    term, and no composition reads a series longer than that window.  The
+    lifts are straight, bumped inside the kernel by eps c t^k for k up to
+    3(m+2), and bumped once more at t^0; at (3, 2, 4) and (5, 2, 3) the
+    last give defects that are not zero."""
+    ch = character_for(p, s, m)
+    A = make_artin_algebra(ch.field, 2)
+    rep = trivial_rep(A, ch)
+    rng = random.Random(100 * p + 10 * s + m)
+    long = 3 * (m + 2)
+    ft0 = LaurentSeries.t_power(A, -m, INF)
+    straight = {i: deformed_rho(rep, ft0, ch.generator(i), long)
+                for i in range(1, s + 1)}
+
+    def kernel_term(k):
+        return LaurentSeries.make(
+            A, {k: A.from_raw((0, rng.randrange(1, ch.field.q)))}, INF)
+
+    bent = {i: L + kernel_term(rng.randrange(1, m + 2))
+            + kernel_term(rng.randrange(m + 2, long)) for i, L in straight.items()}
+    bumped = {**bent, 1: bent[1] + kernel_term(0)}
+    read = []
+
+    def reading_compose(outer, inner):
+        read.append(max(outer.prec, inner.prec))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(deform, "compose", reading_compose)
+    nonzero = False
+    for case, window in ((straight, m + 2), (bent, m + 2), (bumped, m + 2 + p - 1)):
+        read.clear()
+        got = obstruction_two_cocycle(rep, case)
+        assert max(read) == window
+        assert got == obstruction_two_cocycle(
+            rep, {i: L.truncate(window) for i, L in case.items()})
+        nonzero = nonzero or not got["identically_zero"]
+    assert nonzero == ((p, s, m) in [(3, 2, 4), (5, 2, 3)])
+
+
 def test_deformed_rho_reduces_to_rho():
     ch = character_for(3, 1, 2)
     rng = random.Random(4)

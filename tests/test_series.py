@@ -1,13 +1,16 @@
 """Truncated Laurent series: ring operations, inversion, composition,
 reversion and Weierstrass preparation."""
 
+import random
 import sys
 import threading
+import tracemalloc
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wildram import series
 from wildram.autoreps import build_rho
 from wildram.coeffring import (
     RingMismatch,
@@ -95,15 +98,106 @@ def schoolbook_mul(a, b):
     return {e: c for e, c in out.items() if not r.raw_is_zero(c)}, prec
 
 
+KERNEL_KINDS = ("wide", "strided", "dense")
+
+
+def kernel_operand(rng, ring, kind, stride=None, exact=False):
+    """An operand for the product's paths: 'wide', 1 to 40 terms spread over
+    twenty thousand exponents; 'strided', 2 to 25 terms at a + g k, g the
+    given stride or one in 2..7; 'dense', 40 to 60 terms among 70
+    exponents.  Over F_q[eps]/eps^n the parts are of unequal sparsity: a
+    term has a nonzero eps^0, eps^1, eps^2 component with probability 0.9,
+    0.5, 0.25, and some terms are nilpotent.  The precision is INF, and
+    unless exact it may cut into the terms."""
+    field = ring_is_field(ring)
+    q = ring.q if field else ring.base.q
+    if kind == "wide":
+        exps = rng.sample(range(-40, 20000), rng.randint(1, 40))
+    elif kind == "strided":
+        g, a = stride or rng.randint(2, 7), rng.randint(-6, 6)
+        exps = [a + g * k for k in rng.sample(range(30), rng.randint(2, 25))]
+    else:
+        lo = rng.randint(-10, 10)
+        exps = rng.sample(range(lo, lo + 70), rng.randint(40, 60))
+
+    def coeff():
+        if field:
+            return rng.randrange(1, q)
+        while True:
+            c = tuple(rng.randrange(1, q) if rng.random() < (0.9, 0.5, 0.25)[i]
+                      else 0 for i in range(ring.n))
+            if any(c):
+                return c
+
+    prec = INF if exact or rng.random() < 0.5 else \
+        rng.randint(min(exps) + 1, max(exps) + 3)
+    return LaurentSeries(ring, {e: coeff() for e in exps}, prec)
+
+
 @pytest.mark.parametrize("ring", [F5, F4, F9, F4_EPS2, F9_EPS3],
                          ids=["F5", "F4", "F9", "F4_eps2", "F9_eps3"])
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_mul_matches_schoolbook(ring, data):
-    a = data.draw(ring_series(ring))
-    b = data.draw(ring_series(ring))
+    """Random series of every reduced valuation, and operands for each
+    path of the product: wide and sparse, strided, and dense."""
+    operands = []
+    for _ in range(2):
+        kind = data.draw(st.sampled_from((None,) + KERNEL_KINDS))
+        if kind is None:
+            operands.append(data.draw(ring_series(ring)))
+        else:
+            operands.append(kernel_operand(data.draw(st.randoms()), ring, kind))
+    a, b = operands
     prod = a * b
     assert (prod.coeffs, prod.prec) == schoolbook_mul(a, b)
+
+
+@pytest.mark.parametrize("ring", [F5, F9, F4_EPS2, F9_EPS3],
+                         ids=["F5", "F9", "F4_eps2", "F9_eps3"])
+def test_each_product_path_runs(ring, monkeypatch):
+    """Exact operands of 20 or more terms each: wide ones, enough pairs to
+    weigh a row but too wide for one, take the sparse path; dense ones the
+    dense path; strided ones the dense path over slots compressed by their
+    stride.  Every product equals schoolbook_mul."""
+    taken = []
+    for name in ("_sparse_product", "_dense_product"):
+        def counted(*args, _run=getattr(series, name), _name=name):
+            taken.append((_name, args[5] if _name == "_dense_product" else None))
+            return _run(*args)
+        monkeypatch.setattr(series, name, counted)
+    rng = random.Random(21)
+    for kind, want in [("wide", "_sparse_product"), ("dense", "_dense_product"),
+                       ("strided", "_dense_product")]:
+        for _ in range(6):
+            g = rng.randint(2, 7)
+            a = b = None
+            while a is None or min(len(a.coeffs), len(b.coeffs)) < 20:
+                a, b = (kernel_operand(rng, ring, kind, g, exact=True)
+                        for _ in range(2))
+            taken.clear()
+            prod = a * b
+            assert (prod.coeffs, prod.prec) == schoolbook_mul(a, b)
+            assert [t[0] for t in taken] == [want]
+            if kind == "strided":
+                assert taken[0][1] % g == 0
+
+
+@pytest.mark.parametrize("ring", [F5, F9_EPS3], ids=["F5", "F9_eps3"])
+def test_a_wide_product_allocates_nothing_over_its_span(ring):
+    """(t + t^N)^2 with N = 10^6: a dense row per power of eps over the
+    2N exponents of its span would take 8 MB and more; the product's peak
+    allocation stays under 1 MB."""
+    one = ring.raw_one()
+    x = LaurentSeries(ring, {1: one, 10 ** 6: one}, INF)
+    tracemalloc.start()
+    try:
+        prod = x * x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (prod.coeffs, prod.prec) == schoolbook_mul(x, x)
+    assert peak < 10 ** 6
 
 
 def check_ring_laws(a, b, c):
@@ -542,6 +636,43 @@ def test_a_warm_table_makes_only_the_missing_products(monkeypatch):
         made.append((len(calls) - before, sorted(set(inner._powers) - keys)))
     assert made[1:] == [(0, []), (1, [7]), (1, [10])]
     assert made[0][0] > 0
+
+
+def test_a_warm_composition_rescans_neither_series(monkeypatch):
+    """The inner keeps its reduced valuation and lead with its table, and
+    the outer its sorted terms: once the table holds the powers, composing
+    reads neither valuation again and sorts nothing."""
+    ch = character_for(3, 2, 4)
+    inner = build_rho(ch, ch.generator(1), 40)
+    outers = [build_rho(ch, g, 40) for g in ch.group()]
+    wants = [dense_compose(outer, inner) for outer in outers]
+    reads = []
+    valuation, lead = LaurentSeries.reduced_valuation, LaurentSeries.lead
+
+    def counted_valuation(self):
+        reads.append("valuation")
+        return valuation(self)
+
+    def counted_lead(self):
+        if self is inner:
+            reads.append("lead")
+        return lead.fget(self)
+
+    def counted_sorted(*args, **kwargs):
+        reads.append("sorted")
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(LaurentSeries, "reduced_valuation", counted_valuation)
+    monkeypatch.setattr(LaurentSeries, "lead", property(counted_lead))
+    monkeypatch.setattr(series, "sorted", counted_sorted, raising=False)
+    for outer in outers:
+        compose(outer, inner)
+    assert reads.count("valuation") == 1
+    reads.clear()
+    for outer, want in zip(outers, wants):
+        got = compose(outer, inner)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+    assert reads == []
 
 
 def test_eq_to_prec_sees_a_term_on_one_side_only():
