@@ -90,7 +90,8 @@ class RingElem:
         return self.ring.raw_is_unit(self.raw)
 
     def _check(self, other):
-        if not isinstance(other, RingElem) or self.ring != other.ring:
+        if not isinstance(other, RingElem) or (
+                self.ring is not other.ring and self.ring != other.ring):
             raise RingMismatch("elements of different rings")
 
     def __add__(self, other):
@@ -145,7 +146,7 @@ class ArtinElem(RingElem):
         """Image under A -> F_q[eps]/(eps^m); m defaults to n-1."""
         if m is None:
             m = self.ring.n - 1
-        return ArtinAlgebraDescriptor(self.ring.base, m).from_raw(self.raw[:m])
+        return make_artin_algebra(self.ring.base, m).from_raw(self.raw[:m])
 
     def lift(self, ring):
         """Zero-padded lift along ring -> self.ring."""
@@ -171,7 +172,7 @@ class RingDescriptor:
         as an integer, a raw value of this ring (is_raw) kept.  Anything
         else, an element of another ring among them, raises RingMismatch."""
         if isinstance(x, RingElem):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise RingMismatch("%r is not an element of %r" % (x, self))
             return x.raw
         if isinstance(x, int):
@@ -552,14 +553,17 @@ class ArtinAlgebraDescriptor(RingDescriptor):
 
     def small_extension(self):
         """A' = F_q[eps]/(eps^{n+1}), the canonical small extension onto A."""
-        return ArtinAlgebraDescriptor(self.base, self.n + 1)
+        return make_artin_algebra(self.base, self.n + 1)
 
     def elements(self):
         return [self.from_raw(raw)
                 for raw in itertools.product(range(self.base.q), repeat=self.n)]
 
 
+@lru_cache(maxsize=None)
 def make_artin_algebra(base, n):
+    """F_q[eps]/eps^n over the field base, one descriptor per (base, n), as
+    make_field keeps one per field."""
     return ArtinAlgebraDescriptor(base, n)
 
 

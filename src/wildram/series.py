@@ -8,12 +8,13 @@ Over an Artin ring the interesting valuation is the *reduced* one (the
 valuation of the reduction modulo the maximal ideal); terms below it can
 exist but carry nilpotent coefficients.
 
-A product sums the pairs of terms below its precision, each product on
-the cheaper of two paths: sparsely, in exponent -> value dicts, or densely,
-in rows over the exponents lo + k g that it can reach, g the gcd of the
-factors' exponent offsets (LaurentSeries.__mul__).  So a product of sparse
-or strided series, such as the powers of rho, costs the terms it touches,
-not the span of exponents they cover.
+A product sums the pairs of terms below its precision sparsely, in one
+exponent -> value dict per eps-component.  Over a field it takes the dense
+path instead where that is cheaper: a row over the exponents lo + k g that
+it can reach, g the gcd of the factors' exponent offsets.  No workload's
+product over F_q[eps]/eps^n is cheaper dense (LaurentSeries.__mul__).  So
+a product of sparse or strided series, such as the powers of rho, costs
+the terms it touches, not the span of exponents they cover.
 
 Composition sums c_j inner^j over the nonzero terms c_j t^j of the outer
 series, reading every power from a table of powers that the inner series
@@ -23,11 +24,12 @@ dense Horner evaluation reach, so the sum carries the precision a Horner
 loop over every exponent of the outer would.  The group law composes
 |V|^2 outers with |V| inners: each power is computed once per inner, not
 once per pair, and once the table holds the powers an outer needs, each is
-one dict read.  The sum is accumulated sparsely, in one exponent -> value
-dict per eps-component holding only the exponents the powers carry below
-the result's precision, so a composition costs the terms it reads, not the
-span of exponents they cover.  The inner keeps its reduced valuation and
-lead with its table.  The inner may be a series over
+one dict read.  LaurentSeries.pow reads and fills the same table.  The sum
+is accumulated sparsely, in one exponent -> value dict per eps-component
+holding only the exponents the powers carry below the result's precision,
+over F_q[eps]/eps^n by the product's kernel; so a composition costs the
+terms it reads, not the span of exponents they cover.  The inner keeps its
+reduced valuation and lead with its table.  The inner may be a series over
 the residue field of the outer's Artin ring, so that every outer over any
 F_q[eps]/eps^n shares the field inner's table.
 """
@@ -36,10 +38,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from math import comb, gcd
-import operator
-from operator import attrgetter, itemgetter, or_, sub
+from operator import attrgetter, itemgetter, sub
 
 from .coeffring import ArtinAlgebraDescriptor, RingMismatch, ring_is_field
 
@@ -48,11 +49,10 @@ INF = 10 ** 9
 _second = itemgetter(1)
 _prec = attrgetter("prec")
 
-# The measured crossover of the product's sparse and dense paths (see
+# The measured crossover of a field product's sparse and dense paths (see
 # LaurentSeries.__mul__): a pair of terms is worth _ROW_PAIR slots of a row,
-# over a field (True) and over F_q[eps]/eps^n, and a row costs _ROW_FIXED
-# slots more.
-_ROW_PAIR = {True: 2.0, False: 3.6}
+# and a row costs _ROW_FIXED slots more.
+_ROW_PAIR = 2.0
 _ROW_FIXED = 300
 
 
@@ -106,6 +106,8 @@ def _convolve_sparse(acc, a_parts, b_parts, stop_at, add, mul):
     for i, a in enumerate(a_parts):
         for j in range(n - i):
             out, b = acc[i + j], b_parts[j]
+            if not b:
+                continue
             get = out.get
             for e1, c1 in a:
                 row = mul[c1]
@@ -115,21 +117,6 @@ def _convolve_sparse(acc, a_parts, b_parts, stop_at, add, mul):
                         break
                     e = e1 + e2
                     out[e] = add[get(e, 0)][row[c2]]
-
-
-def _convolve_dense(acc, a_parts, b_parts, stop_at, add, mul):
-    """_convolve_sparse over slot offsets, into the lists acc: each part of
-    b is cut below slot stop_at - k1 by one bisection, not term by term."""
-    n = len(acc)
-    for i, a in enumerate(a_parts):
-        for j in range(n - i):
-            out, b = acc[i + j], b_parts[j]
-            b_keys = [k for k, _ in b]
-            for k1, c1 in a:
-                row = mul[c1]
-                for k2, c2 in b[:bisect_left(b_keys, stop_at - k1)]:
-                    k = k1 + k2
-                    out[k] = add[out[k]][row[c2]]
 
 
 def _sparse_product(ring, a_parts, b_parts, prec):
@@ -154,32 +141,31 @@ def _from_eps_dicts(ring, acc, prec):
         ring, dict(zip(compress(exps, nonzero), compress(vals, nonzero))), prec)
 
 
-def _dense_product(ring, a_parts, b_parts, a_lo, b_lo, step, slots, prec):
-    """The product of eps-graded series of leads a_lo and b_lo, every
-    exponent in its lead + step Z: slot k of one row per power of eps
-    holds t^(a_lo + b_lo + k step), for k < slots."""
-    a_parts = [[((e - a_lo) // step, c) for e, c in x] for x in a_parts]
-    b_parts = [[((e - b_lo) // step, c) for e, c in x] for x in b_parts]
-    field = ring_is_field(ring)
-    acc = [[0] * slots for _ in a_parts]
-    _convolve_dense(acc, a_parts, b_parts, slots,
-                    *(ring if field else ring.base).tables()[:2])
-    nonzero = acc[0]
-    for row in acc[1:]:
-        nonzero = list(map(or_, nonzero, row))
+def _dense_product(ring, a, b, a_lo, b_lo, step, slots, prec):
+    """The product over a field of the terms a and b, (exponent, index)
+    pairs, b's sorted, of leads a_lo and b_lo and every exponent in its
+    lead + step Z: slot k of one row holds t^(a_lo + b_lo + k step), for
+    k < slots.  Each term of a meets the terms of b below slot slots - k1,
+    cut by one bisection, not term by term."""
+    add, mul = ring.tables()[:2]
+    b = [((e - b_lo) // step, c) for e, c in b]
+    b_keys = [k for k, _ in b]
+    acc = [0] * slots
+    for e1, c1 in a:
+        k1 = (e1 - a_lo) // step
+        row = mul[c1]
+        for k2, c2 in b[:bisect_left(b_keys, slots - k1)]:
+            k = k1 + k2
+            acc[k] = add[acc[k]][row[c2]]
     lo = a_lo + b_lo
-    exps = compress(range(lo, lo + slots * step, step), nonzero)
-    if field:
-        vals = compress(nonzero, nonzero)
-    else:
-        vals = zip(*[compress(row, nonzero) for row in acc])
-    return LaurentSeries._clean(ring, dict(zip(exps, vals)), prec)
+    exps = compress(range(lo, lo + slots * step, step), acc)
+    return LaurentSeries._clean(ring, dict(zip(exps, compress(acc, acc))), prec)
 
 
 class LaurentSeries:
     # _powers: the table of powers compose reads when this series is the
-    # inner one, None until the first such compose (see _table_powers);
-    # _valuations: its reduced valuation and lead, kept by that compose;
+    # inner one, and pow, None until the first of them (see _table_powers);
+    # _valuations: its reduced valuation and lead, kept by compose;
     # _terms: its exponents and coefficients in the order compose reads
     # them when it is the outer one, kept by the first such compose.
     __slots__ = ("ring", "coeffs", "prec", "_powers", "_valuations", "_terms")
@@ -280,24 +266,26 @@ class LaurentSeries:
         other.prec + lead), or INF when both factors are exact.
 
         Over F_q[eps]/eps^n each factor splits into n field series, one per
-        power of eps (a field is the case n = 1); part i of one factor meets
-        part j of the other for i + j < n, each meeting a convolution over
-        F_q through the base field's tables.  The pairs of terms below the
-        precision are summed on one of two paths:
-        - sparse: one exponent -> field index dict per power of eps, which
-          costs the pairs it reads and the terms it makes;
-        - dense: one row per power of eps over the slots k of the exponents
-          lo + k g, lo the sum of the leads and g the stride, the gcd of the
-          factors' exponent offsets from their leads.  A row costs its
-          slots and a fixed amount, but each pair costs less than in a dict.
-        The product goes dense when n slots < pairs _ROW_PAIR - _ROW_FIXED,
-        counting the pairs of the parts that meet.  The crossover is
-        measured, not fitted to a workload: k x k products of random
-        exponents in a window of W slots, timed on both paths for k = 3 to
-        48 and W = k to 64 k, cost the same at n slots = 2.0 pairs - 300 over
-        F_25 and 3.6 pairs - 300 over F_25[eps]/eps^2 and /eps^3, where the
-        sparse path also merges the parts' dicts.  The stride is computed
-        only when the pairs could pay for one slot per power of eps.
+        power of eps; part i of one factor meets part j of the other for
+        i + j < n, each meeting a convolution over F_q through the base
+        field's tables, summed in one exponent -> field index dict per power
+        of eps, which costs the pairs it reads and the terms it makes.
+        Over a field the pairs of terms below the precision are summed on
+        the cheaper of two paths:
+        - sparse: the one dict, as over F_q[eps]/eps^n;
+        - dense: one row over the slots k of the exponents lo + k g, lo the
+          sum of the leads and g the stride, the gcd of the factors'
+          exponent offsets from their leads.  A row costs its slots and a
+          fixed amount, but each pair costs less than in a dict.
+        The product goes dense when slots < pairs _ROW_PAIR - _ROW_FIXED.
+        The crossover is measured, not fitted to a workload: k x k products
+        of random exponents in a window of W slots, timed on both paths for
+        k = 3 to 48 and W = k to 64 k, cost the same at slots = 2.0 pairs -
+        300 over F_25.  The stride is computed only when the pairs could
+        pay for one slot.  The dense path is field-only because the traffic
+        is: on seed-0 rounds of the group law, tangent, H^1 grid and
+        selftest workloads a field product took it 98 and 555 times in the
+        group law and the selftest, a product over F_q[eps]/eps^n never.
         """
         self._check(other)
         r = self.ring
@@ -311,26 +299,20 @@ class LaurentSeries:
             return LaurentSeries._clean(r, {}, prec)
         if len(a) > len(b):
             a, b, a_lo, b_lo = b, a, b_lo, a_lo
-        if ring_is_field(r):
-            field, n = True, 1
-            a_parts, b_parts = [a.items()], [sorted(b.items())]
-            pairs = len(a) * len(b)
-        else:
-            field, n = False, r.n
-            a_parts, b_parts = _eps_parts(a), _eps_parts(b)
+        if not ring_is_field(r):
+            b_parts = _eps_parts(b)
             for x in b_parts:
                 x.sort()
-            # part i of a meets parts 0 .. n - 1 - i of b
-            b_upto = list(accumulate(map(len, b_parts)))
-            pairs = sum(map(operator.mul, map(len, a_parts), reversed(b_upto)))
-        limit = pairs * _ROW_PAIR[field] - _ROW_FIXED
-        if limit > n:
+            return _sparse_product(r, _eps_parts(a), b_parts, prec)
+        b_terms = sorted(b.items())
+        limit = len(a) * len(b) * _ROW_PAIR - _ROW_FIXED
+        if limit > 1:
             step = gcd(*map(sub, a, repeat(a_lo)), *map(sub, b, repeat(b_lo))) or 1
             span = min(prec, max(a) + max(b) + 1) - a_lo - b_lo
             slots = max(0, (span - 1) // step + 1)
-            if n * slots < limit:
-                return _dense_product(r, a_parts, b_parts, a_lo, b_lo, step, slots, prec)
-        return _sparse_product(r, a_parts, b_parts, prec)
+            if slots < limit:
+                return _dense_product(r, a.items(), b_terms, a_lo, b_lo, step, slots, prec)
+        return _sparse_product(r, [a.items()], [b_terms], prec)
 
     @classmethod
     def _clean(cls, ring, coeffs, prec):
@@ -363,16 +345,19 @@ class LaurentSeries:
         return LaurentSeries(r, out, self.prec - k if self.prec < INF else INF)
 
     def pow(self, n):
+        """self^n, for n >= 2 read from or added to the table of powers
+        that compose keeps on self (_table_powers), so equal to
+        compose(t^n, self) where that is defined.  Over a field that is the
+        n-fold product; with nilpotent terms below the reduced valuation the
+        precision is the reach of Horner evaluation from the lead, which
+        can be less than a chain of products claims."""
         if n < 0:
             return invert_unit_series(self.pow(-n))
-        result = LaurentSeries.one(self.ring, INF)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n < 2:
+            return self if n else LaurentSeries.one(self.ring)
+        if self._powers is None:
+            self._powers = {}
+        return _table_powers(self._powers, self, self.lead, 1, INF, [n])[0]
 
     def frobenius_power(self, e=1):
         """The p^e-th power, computed coefficientwise (exact in char p)."""
@@ -412,17 +397,15 @@ class LaurentSeries:
         return (isinstance(other, LaurentSeries) and self.ring == other.ring
                 and self.prec == other.prec and self.coeffs == other.coeffs)
 
-    def eq_to_prec(self, other, upto=None):
-        """Coefficientwise equality up to the shared known precision, or
-        below upto.  With one precision on both sides and no upto below it,
-        every term lies below the bound, and the dicts are compared whole."""
+    def eq_to_prec(self, other):
+        """Coefficientwise equality up to the shared known precision.  With
+        one precision on both sides every term lies below it, and the dicts
+        are compared whole."""
         self._check(other)
-        bound = min(self.prec, other.prec)
         a, b = self.coeffs, other.coeffs
-        if upto is not None and upto < bound:
-            bound = upto
-        elif self.prec == other.prec:
+        if self.prec == other.prec:
             return a == b
+        bound = min(self.prec, other.prec)
         for e, c in a.items():
             if e < bound and b.get(e) != c:
                 return False
@@ -520,7 +503,8 @@ def compose(outer, inner):
     cap, what the precision of outer allows, with the nilpotency of
     inner's ring.  The sum is accumulated in one exponent -> field index
     dict per eps-component, over the terms of the powers below that
-    precision only; the components' zeros are dropped at the end.
+    precision only, over F_q[eps]/eps^n by _convolve_sparse; the
+    components' zeros are dropped at the end.
     """
     r, ir = outer.ring, inner.ring
     if ir is not r and ir != r and (ring_is_field(r) or ir != r.base):
@@ -579,30 +563,14 @@ def compose(outer, inner):
                     acc[e] = add[get(e, 0)][row[v]]
         return LaurentSeries._clean(r, dict(filter(_second, acc.items())), prec)
 
-    add, mul = r.base.tables()[:2]
-    n = r.n
-    acc = [{} for _ in range(n)]
-    # eps^i c_i times eps^j v_j lands in eps-component i + j if i + j < n;
-    # a power over the residue field has v = v_0 only
-    inner_field = ring_is_field(ir)
+    # each power times its coefficient c, the eps-parts of c as one-term
+    # series at t^0; a power over the residue field is its own eps^0 part
+    tables = r.base.tables()[:2]
+    acc = [{} for _ in range(r.n)]
     for x, c in zip(powers, coeffs):
-        for i, ci in enumerate(c):
-            if not ci:
-                continue
-            row = mul[ci]
-            if inner_field:
-                out = acc[i]
-                get = out.get
-                for e, v in x.coeffs.items():
-                    if e < prec:
-                        out[e] = add[get(e, 0)][row[v]]
-                continue
-            for e, v in x.coeffs.items():
-                if e < prec:
-                    for j in range(n - i):
-                        if v[j]:
-                            out = acc[i + j]
-                            out[e] = add[out.get(e, 0)][row[v[j]]]
+        parts = [x.coeffs.items()] if ring_is_field(ir) else _eps_parts(x.coeffs)
+        _convolve_sparse(acc, parts, [[(0, ci)] if ci else [] for ci in c],
+                         prec, *tables)
     return _from_eps_dicts(r, acc, prec)
 
 

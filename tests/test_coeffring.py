@@ -163,6 +163,17 @@ def test_small_extension_adds_one_level():
     assert x.lift(A4).reduce(3) == x
 
 
+def test_one_descriptor_per_artin_algebra():
+    """make_artin_algebra, small_extension and reduce hand out the one
+    descriptor of F_q[eps]/eps^n, as make_field does for F_q."""
+    field = make_field(3)
+    A3 = make_artin_algebra(make_field(3), 3)
+    assert make_artin_algebra(field, 3) is A3
+    assert A3.small_extension() is make_artin_algebra(field, 4)
+    assert A3.one().reduce().ring is make_artin_algebra(field, 2)
+    assert A3.one().reduce(1).ring is make_artin_algebra(field, 1)
+
+
 def test_p_power_root_on_field_elements():
     field = make_field(3, 2)
     for a in field.elements():

@@ -3,7 +3,8 @@ parameter of a library function is read by its body, every private
 module-level function is called from somewhere else in the library, no
 library module checks an invariant with ``assert``, which ``python -O``
 strips, or with a hand-raised ``AssertionError``, which names no invariant,
-and only ``coeffring`` tells a field element from an Artin element.
+only ``coeffring`` tells a field element from an Artin element, and only
+its two factories build a ring descriptor.
 
 The import scan skips the package's ``__init__.py``, since its imports are
 the public re-exports, and ``from __future__``.
@@ -212,3 +213,50 @@ def test_element_scanner_flags_only_class_ladders():
                                     if name != "coeffring.py"])
 def test_only_coeffring_tells_the_element_classes_apart(module):
     assert element_ladders((SRC / module).read_text()) == []
+
+
+DESCRIPTORS = ("ArtinAlgebraDescriptor", "FieldDescriptor")
+
+
+def descriptor_constructions(source, factories=()):
+    """(line, class) for each call of ArtinAlgebraDescriptor or
+    FieldDescriptor, by name or as an attribute, outside the bodies of the
+    module-level functions named in factories."""
+    tree = ast.parse(source)
+    inside = {id(n) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name in factories
+              for n in ast.walk(fn)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in DESCRIPTORS:
+                out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_descriptor_scanner_flags_only_calls_outside_the_factories():
+    source = ("from . import coeffring\n"
+              "from .coeffring import ArtinAlgebraDescriptor, FieldDescriptor\n"
+              "def make(base, n):\n"
+              "    return ArtinAlgebraDescriptor(base, n)\n"
+              "def other(p):\n"
+              "    x = isinstance(p, FieldDescriptor)\n"
+              "    return coeffring.FieldDescriptor(p, 1, (0, 1)), x\n"
+              "def g(base):\n"
+              "    return ArtinAlgebraDescriptor(base, 2)\n")
+    assert descriptor_constructions(source, ("make",)) == [
+        (7, "FieldDescriptor"), (9, "ArtinAlgebraDescriptor")]
+    assert descriptor_constructions(source) == [
+        (4, "ArtinAlgebraDescriptor"), (7, "FieldDescriptor"),
+        (9, "ArtinAlgebraDescriptor")]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_only_the_factories_build_ring_descriptors(module):
+    """One descriptor per ring: make_field (through _field_cache) and
+    make_artin_algebra are cached, so rings built anywhere else would be
+    equal but not identical, and every comparison of them would pay for
+    __eq__."""
+    factories = ("_field_cache", "make_artin_algebra") if module == "coeffring.py" else ()
+    assert descriptor_constructions((SRC / module).read_text(), factories) == []

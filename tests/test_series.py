@@ -153,13 +153,11 @@ def test_mul_matches_schoolbook(ring, data):
     assert (prod.coeffs, prod.prec) == schoolbook_mul(a, b)
 
 
-@pytest.mark.parametrize("ring", [F5, F9, F4_EPS2, F9_EPS3],
-                         ids=["F5", "F9", "F4_eps2", "F9_eps3"])
-def test_each_product_path_runs(ring, monkeypatch):
-    """Exact operands of 20 or more terms each: wide ones, enough pairs to
-    weigh a row but too wide for one, take the sparse path; dense ones the
-    dense path; strided ones the dense path over slots compressed by their
-    stride.  Every product equals schoolbook_mul."""
+def product_paths(ring, monkeypatch):
+    """(kind, stride, paths taken) for six products of exact operands of
+    each kind, 20 or more terms a factor; every product equals
+    schoolbook_mul.  A path taken is its name and, on the dense path, the
+    step of its slots."""
     taken = []
     for name in ("_sparse_product", "_dense_product"):
         def counted(*args, _run=getattr(series, name), _name=name):
@@ -167,8 +165,8 @@ def test_each_product_path_runs(ring, monkeypatch):
             return _run(*args)
         monkeypatch.setattr(series, name, counted)
     rng = random.Random(21)
-    for kind, want in [("wide", "_sparse_product"), ("dense", "_dense_product"),
-                       ("strided", "_dense_product")]:
+    out = []
+    for kind in ("wide", "dense", "strided"):
         for _ in range(6):
             g = rng.randint(2, 7)
             a = b = None
@@ -178,9 +176,30 @@ def test_each_product_path_runs(ring, monkeypatch):
             taken.clear()
             prod = a * b
             assert (prod.coeffs, prod.prec) == schoolbook_mul(a, b)
-            assert [t[0] for t in taken] == [want]
-            if kind == "strided":
-                assert taken[0][1] % g == 0
+            out.append((kind, g, list(taken)))
+    return out
+
+
+@pytest.mark.parametrize("ring", [F5, F9], ids=["F5", "F9"])
+def test_each_product_path_runs(ring, monkeypatch):
+    """Over a field, wide operands, enough pairs to weigh a row but too
+    wide for one, take the sparse path; dense ones the dense path; strided
+    ones the dense path over slots compressed by their stride."""
+    want = {"wide": "_sparse_product", "dense": "_dense_product",
+            "strided": "_dense_product"}
+    for kind, g, taken in product_paths(ring, monkeypatch):
+        assert [t[0] for t in taken] == [want[kind]]
+        if kind == "strided":
+            assert taken[0][1] % g == 0
+
+
+@pytest.mark.parametrize("ring", [F4_EPS2, F9_EPS3], ids=["F4_eps2", "F9_eps3"])
+def test_eps_graded_products_never_go_dense(ring, monkeypatch):
+    """The operands of test_each_product_path_runs over F_q[eps]/eps^n,
+    whose dense and strided products a crossover of 3.6 slots a pair sent
+    to a dense row per power of eps, all take the sparse path."""
+    for _, _, taken in product_paths(ring, monkeypatch):
+        assert taken == [("_sparse_product", None)]
 
 
 @pytest.mark.parametrize("ring", [F5, F9_EPS3], ids=["F5", "F9_eps3"])
@@ -675,12 +694,74 @@ def test_a_warm_composition_rescans_neither_series(monkeypatch):
     assert reads == []
 
 
+@pytest.mark.parametrize("ring", [F5, F9, F4_EPS2, F9_EPS3],
+                         ids=["F5", "F9", "F4_eps2", "F9_eps3"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pow_is_the_composition_with_t_to_the_n(ring, data):
+    """x.pow(n) equals compose(t^n, x) and dense_compose(t^n, x) on copies
+    of x with no table, coefficients and precision, wherever the reduced
+    valuation is >= 1; over a field it also equals the product of n
+    factors x, at any valuation."""
+    field = ring_is_field(ring)
+    x = data.draw(ring_series(ring, lo=-3 if field else 1))
+    n = data.draw(st.integers(2, 9))
+    got = x.pow(n)
+    tn = LaurentSeries.t_power(ring, n)
+    if x.residue().coeffs and x.reduced_valuation() >= 1:
+        for want in (compose(tn, LaurentSeries(ring, x.coeffs, x.prec)),
+                     dense_compose(tn, LaurentSeries(ring, x.coeffs, x.prec))):
+            assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+    if field:
+        want = x
+        for _ in range(n - 1):
+            want = want * x
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_pow_reads_the_power_a_composition_made(monkeypatch):
+    """Once a composition has put rho^(m+1) into rho's table, as
+    deformed_rho's composition with ftilde's derivatives does before its
+    chord, rho.pow(m + 1) makes no product."""
+    ch = character_for(3, 2, 4)
+    m = ch.m
+    rho = build_rho(ch, ch.generator(1), 40)
+    want = dense_compose(LaurentSeries.t_power(ch.field, m + 1), rho)
+    compose(LaurentSeries.make(ch.field, {1: 1, m + 1: 2}, 40), rho)
+    calls = []
+    mul = LaurentSeries.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    got = rho.pow(m + 1)
+    assert calls == []
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_pow_of_a_nilpotent_lead_claims_the_horner_precision():
+    """Over F_5[eps]/eps^2, x = eps t^-1 + t + 3 t^2 + O(t^10): x^4 is
+    known to t^7 and x^5 to t^6, the reach of Horner evaluation from the
+    lead t^-1, where binary powering, through x^2 of lead t^0, claimed t^9
+    and t^8.  The coefficients below agree."""
+    A = make_artin_algebra(F5, 2)
+    x = LaurentSeries.make(A, {-1: A.eps(), 1: 1, 2: 3}, 10)
+    x2 = x * x
+    x4 = x2 * x2
+    for n, chain, prec in [(4, x4, 7), (5, x * x4, 6)]:
+        assert chain.prec == prec + 2
+        got = x.pow(n)
+        assert got.prec == prec
+        assert got.coeffs == chain.truncate(prec).coeffs
+
+
 def test_eq_to_prec_sees_a_term_on_one_side_only():
     a = LaurentSeries.make(F5, {1: 1, 3: 2}, 10)
     b = LaurentSeries.make(F5, {1: 1}, 10)
     assert not a.eq_to_prec(b)
     assert not b.eq_to_prec(a)
-    assert a.eq_to_prec(b, upto=3) and b.eq_to_prec(a, upto=3)
 
 
 def test_eq_to_prec_ignores_terms_from_the_bound_on():
@@ -696,14 +777,6 @@ def test_eq_to_prec_ignores_terms_from_the_bound_on():
     assert not a.eq_to_prec(b) and not b.eq_to_prec(a)
 
 
-def test_eq_to_prec_upto():
-    a = LaurentSeries.make(F5, {1: 1, 4: 2}, 10)
-    b = LaurentSeries.make(F5, {1: 1, 4: 3}, 10)
-    assert a.eq_to_prec(b, upto=4) and b.eq_to_prec(a, upto=4)
-    assert not a.eq_to_prec(b, upto=5) and not b.eq_to_prec(a, upto=5)
-    assert not a.eq_to_prec(b, upto=20) and not a.eq_to_prec(b)
-
-
 def test_eq_to_prec_compares_every_eps_component():
     """Raw values of F_9[eps]/eps^3 that differ in one component only."""
     a = LaurentSeries(F9_EPS3, {2: (1, 2, 0), 4: (0, 0, 5)}, 8)
@@ -715,7 +788,7 @@ def test_eq_to_prec_compares_every_eps_component():
         assert not a.eq_to_prec(b) and not b.eq_to_prec(a)
     b = LaurentSeries(F9_EPS3, {2: (1, 2, 0), 4: (0, 0, 5), 7: (0, 0, 1)}, 8)
     assert not a.eq_to_prec(b) and not b.eq_to_prec(a)
-    assert a.eq_to_prec(b, upto=7)
+    assert a.eq_to_prec(b.truncate(7)) and b.truncate(7).eq_to_prec(a)
 
 
 def first_derivative(a):
