@@ -9,17 +9,17 @@ Moore determinant of a basis of W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coeffring import RingElem, RingMismatch
+from .coeffring import Record, RingElem, RingMismatch
 from .series import LaurentSeries
 
 
-@dataclass(frozen=True)
-class PPolynomial:
+class PPolynomial(Record):
     """Additive polynomial sum_nu c_nu Y^{p^nu}, sparse in the Frobenius index."""
-    ring: object
-    coeffs: tuple  # sorted tuple of (nu, raw) with raw nonzero
+    __slots__ = ("ring", "coeffs")  # coeffs: sorted (nu, raw) pairs, raw nonzero
+
+    def __init__(self, ring, coeffs):
+        self.ring = ring
+        self.coeffs = coeffs
 
     @classmethod
     def make(cls, ring, terms):

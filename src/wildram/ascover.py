@@ -12,7 +12,6 @@ and the image of D: x -> x^{p^s} - x, up to the scaling action of F_{p^s}^*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .addpoly import (
@@ -23,6 +22,7 @@ from .addpoly import (
     ppoly_apply,
 )
 from .autoreps import build_rho
+from .coeffring import Record
 from .series import (
     INF,
     LaurentSeries,
@@ -58,23 +58,27 @@ class ExpansionPrecisionExhausted(ArithmeticError):
     peels next."""
 
 
-@dataclass(frozen=True)
-class ASCover:
+class ASCover(Record):
     """A cover y^{p^s} - y = rhs; rhs is an additive polynomial in f for the
     symbolic model, a Laurent series for the germ model."""
-    s: int
-    field: object
-    rhs: object
+    __slots__ = ("s", "field", "rhs")
+
+    def __init__(self, s, field, rhs):
+        self.s = s
+        self.field = field
+        self.rhs = rhs
 
 
-@dataclass(frozen=True)
-class CoverClass:
+class CoverClass(Record):
     """Canonical class representative: a pole part with no exponent divisible
     by p^s, together with the witness of the reduction."""
-    rep: LaurentSeries
-    s: int
-    witness: LaurentSeries
-    holomorphic: LaurentSeries
+    __slots__ = ("rep", "s", "witness", "holomorphic")  # all but s: LaurentSeries
+
+    def __init__(self, rep, s, witness, holomorphic):
+        self.rep = rep
+        self.s = s
+        self.witness = witness
+        self.holomorphic = holomorphic
 
     def is_trivial(self):
         return self.rep.is_zero()

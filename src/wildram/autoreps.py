@@ -8,13 +8,12 @@ ramification bookkeeping.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb
 
 from .addpoly import moore_det
+from .coeffring import Record
 from .series import LaurentSeries, compose
 
 
@@ -26,18 +25,20 @@ def default_precision(p, m):
     return 4 * (m + 1) * p
 
 
-@dataclass(frozen=True)
-class Character:
-    field: object
-    s: int
-    vals: tuple  # c(sigma_1), ..., c(sigma_s)
-    m: int
-    # build_rho's memo, keyed (g.exps, prec); outside equality and hash
-    rho_memo: dict = dataclasses.field(default_factory=dict, init=False,
-                                       compare=False, repr=False)
+class Character(Record):
+    """The character c: V = (Z/p)^s -> field with values vals = c(sigma_1),
+    ..., c(sigma_s) on the generators, and the conductor m."""
+    # rho_memo is build_rho's memo, keyed (g.exps, prec); it stays outside
+    # equality, hash and repr
+    __slots__ = ("field", "s", "vals", "m", "rho_memo")
 
-    def __post_init__(self):
-        p = self.field.p
+    def __init__(self, field, s, vals, m):
+        self.field = field
+        self.s = s
+        self.vals = vals
+        self.m = m
+        self.rho_memo = {}
+        p = field.p
         if self.s < 1 or len(self.vals) != self.s:
             raise InvalidCharacter("need exactly s generator values")
         if self.m < 1 or self.m % p == 0:
@@ -49,6 +50,19 @@ class Character:
                                    % (self.s, p, self.field.d))
         if not moore_det(list(self.vals)):
             raise InvalidCharacter("character values are F_p-dependent (rho not faithful)")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field == other.field and self.s == other.s
+                and self.vals == other.vals and self.m == other.m)
+
+    def __hash__(self):
+        return hash((self.field, self.s, self.vals, self.m))
+
+    def __repr__(self):
+        return "Character(field=%r, s=%r, vals=%r, m=%r)" % (
+            self.field, self.s, self.vals, self.m)
 
     @property
     def p(self):
@@ -73,9 +87,20 @@ def make_character(field, vals, m):
     return Character(field, len(vals), vals, m)
 
 
-@dataclass(frozen=True)
-class GroupElem:
-    exps: tuple
+class GroupElem(Record):
+    """prod sigma_i^exps[i] in V = (Z/p)^s."""
+    __slots__ = ("exps",)
+
+    def __init__(self, exps):
+        self.exps = exps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exps == other.exps
+
+    def __hash__(self):
+        return hash((self.exps,))
 
     def is_identity(self):
         return not any(self.exps)

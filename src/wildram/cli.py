@@ -14,7 +14,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import ascover, cohomology, deform, linalg
 from .autoreps import (
@@ -270,6 +269,8 @@ def run(config_data, parallel=False):
     job = parse_config(config_data)
     start = time.time()
     if parallel and len(job["tasks"]) > 1:
+        # imported only here, so that a serial run does not load the pool
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor() as ex:
             results = list(ex.map(lambda t: _run_task(job, t), job["tasks"]))
     else:

@@ -16,7 +16,6 @@ may also be an integer; an element of another ring raises RingMismatch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 # Largest field in scope: addition and multiplication tables take q^2 entries.
@@ -75,13 +74,48 @@ class RingMismatch(ValueError):
     """An element, series or polynomial of another coefficient ring."""
 
 
-@dataclass(frozen=True)
-class RingElem:
+class Record:
+    """Base of the library's immutable value classes: a subclass lists its
+    fields in __slots__ and sets them in its own __init__; equality (which
+    also compares the class), hash and repr are read off the __slots__ of
+    the instance's class.  Nothing assigns a field after __init__.  The
+    classes on hot paths, RingElem among them, define their own methods."""
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
+class RingElem(Record):
     """An element of a coefficient ring: its descriptor and its raw value,
     with the arithmetic of the descriptor's raw_* methods.  Equality also
     compares the class, so a field element never equals an Artin element."""
-    ring: object
-    raw: object
+    __slots__ = ("ring", "raw")
+
+    def __init__(self, ring, raw):
+        self.ring = ring
+        self.raw = raw
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.raw == other.raw
+                and (self.ring is other.ring or self.ring == other.ring))
+
+    def __hash__(self):
+        return hash((self.ring, self.raw))
 
     def __bool__(self):
         return not self.ring.raw_is_zero(self.raw)
@@ -115,6 +149,7 @@ class RingElem:
 
 class FieldElem(RingElem):
     """An element of F_{p^d}; raw is its index."""
+    __slots__ = ()
 
     @property
     def idx(self):
@@ -134,6 +169,7 @@ class FieldElem(RingElem):
 class ArtinElem(RingElem):
     """An element of F_q[eps]/(eps^n); raw is the tuple of the field
     indices of its eps-components."""
+    __slots__ = ()
 
     @property
     def comps(self):
@@ -241,37 +277,55 @@ class FieldDescriptor(RingDescriptor):
         return i
 
     def tables(self):
+        """(add, mul, neg, inv, frob, frob_inv) on indices.  mul, inv and
+        Frobenius are read off the discrete logarithms to a primitive
+        element g, whose q - 1 powers take q - 1 products; add and neg
+        work digit by digit in base p, the low digit the constant term."""
         if self._tables is None:
-            p, q, d = self.p, self.q, self.d
-            vecs = [self.idx_to_coeffs(i) for i in range(q)]
-            add = [[0] * q for _ in range(q)]
-            mul = [[0] * q for _ in range(q)]
-            for i in range(q):
-                vi = vecs[i]
-                for j in range(i, q):
-                    vj = vecs[j]
-                    s = self.coeffs_to_idx(tuple((a + b) % p for a, b in zip(vi, vj)))
-                    add[i][j] = add[j][i] = s
-                    m = self.coeffs_to_idx(_polmod_mul(vi, vj, self.modulus, p))
-                    mul[i][j] = mul[j][i] = m
-            neg = [self.coeffs_to_idx(tuple((-c) % p for c in vecs[i])) for i in range(q)]
-            inv = [0] * q
+            p, q = self.p, self.q
+            exp = self._primitive_powers()
+            n = q - 1
+            log = [0] * q
+            for k, i in enumerate(exp):
+                log[i] = k
+            logs = log[1:]
+            exp2 = exp + exp
+            mul = [[0] * q]
             for i in range(1, q):
-                for j in range(1, q):
-                    if mul[i][j] == 1:
-                        inv[i] = j
-                        break
-            frob = [0] * q
-            for i in range(q):
-                acc = i
-                for _ in range(p - 1):
-                    acc = mul[acc][i]
-                frob[i] = acc
+                row = exp2[log[i]:log[i] + n]
+                mul.append([0, *map(row.__getitem__, logs)])
+            inv = [0] + [exp[-k % n] for k in logs]
+            frob = [0] + [exp[p * k % n] for k in logs]
             frob_inv = [0] * q
             for i in range(q):
                 frob_inv[frob[i]] = i
+            digit_add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            digit_neg = [-a % p for a in range(p)]
+            add, neg = digit_add, digit_neg
+            for _ in range(self.d - 1):
+                # one more low digit: entry (a + p i, b + p j) is
+                # digit_add[a][b] + p add[i][j]
+                add = [[lo + hi for hi in [p * t for t in row] for lo in digits]
+                       for row in add for digits in digit_add]
+                neg = [lo + p * hi for hi in neg for lo in digit_neg]
             self._tables = (add, mul, neg, inv, frob, frob_inv)
         return self._tables
+
+    def _primitive_powers(self):
+        """[g^0, ..., g^(q-2)] as indices, for the first g in index order
+        whose powers reach every unit."""
+        p, q, modulus = self.p, self.q, self.modulus
+        for g in range(1, q):
+            gv = self.idx_to_coeffs(g)
+            powers, x = [1], 1
+            while True:
+                x = self.coeffs_to_idx(_polmod_mul(self.idx_to_coeffs(x), gv, modulus, p))
+                if x == 1:
+                    break
+                powers.append(x)
+            if len(powers) == q - 1:
+                return powers
+        raise ArithmeticError("GF(%d^%d) has no primitive element" % (p, self.d))
 
     # -- raw interface (ints) -------------------------------------------------
 

@@ -27,12 +27,12 @@ locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import linalg
-from .autoreps import (Character, binom_row_mod_p, character_value,
-                       group_mul, group_pow, peeled)
+from .autoreps import (binom_row_mod_p, character_value, group_mul, group_pow,
+                       peeled)
+from .coeffring import Record
 from .series import pole_part
 
 
@@ -44,15 +44,23 @@ class CochainLengthMismatch(ValueError):
     """A 1-cochain's value vector does not have s(m+1) coordinates."""
 
 
-@dataclass(frozen=True)
-class PolePartClass:
+class PolePartClass(Record):
     """Element of the twisted module: coefficients of t^{-1}, ..., t^{-(m+1)}."""
-    ch: Character
-    coeffs: tuple  # m+1 FieldElem values
+    __slots__ = ("ch", "coeffs")  # coeffs: m+1 FieldElem values
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.ch.m + 1:
+    def __init__(self, ch, coeffs):
+        if len(coeffs) != ch.m + 1:
             raise ValueError("need exactly m+1 coefficients")
+        self.ch = ch
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.ch == other.ch
+
+    def __hash__(self):
+        return hash((self.ch, self.coeffs))
 
     @classmethod
     def zero(cls, ch):
@@ -83,14 +91,15 @@ class PolePartClass:
         return PolePartClass(self.ch, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
 
-@dataclass(frozen=True)
-class OneCochain:
-    ch: Character
-    vals: tuple  # one PolePartClass per generator
+class OneCochain(Record):
+    """A 1-cochain on M, given by its values on the generators sigma_i."""
+    __slots__ = ("ch", "vals")  # vals: one PolePartClass per generator
 
-    def __post_init__(self):
-        if len(self.vals) != self.ch.s:
+    def __init__(self, ch, vals):
+        if len(vals) != ch.s:
             raise ValueError("need one value per generator")
+        self.ch = ch
+        self.vals = vals
 
     @classmethod
     def zero(cls, ch):

@@ -11,12 +11,11 @@ the unique T = rho_g mod m_A with ftilde(T) = lam(g) ftilde + C(g).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
 from .autoreps import additive_value, build_rho, character_value, peeled
-from .coeffring import make_artin_algebra
+from .coeffring import Record, make_artin_algebra
 from .cohomology import OneCochain, PolePartClass, d1_preimage, is_cocycle
 from .series import (
     INF,
@@ -31,14 +30,17 @@ class NoSolution(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(Record):
     """Full tables over V of the lower-left entries C and diagonal units
     lam of a lower-triangular two dimensional deformation."""
-    A: object
-    ch: object
-    C: dict    # exps tuple -> ArtinElem
-    lam: dict  # exps tuple -> ArtinElem
+    __slots__ = ("A", "ch", "C", "lam")  # C, lam: exps tuple -> ArtinElem
+    __hash__ = None  # its tables are dicts
+
+    def __init__(self, A, ch, C, lam):
+        self.A = A
+        self.ch = ch
+        self.C = C
+        self.lam = lam
 
 
 def make_matrix_rep(A, ch, Cgens, lamgens):
@@ -97,15 +99,17 @@ def conjugate_rep(rep, mu, lam0):
                            [rep.lam[e] for e in gens])
 
 
-@dataclass(frozen=True)
-class DeformationDatum:
+class DeformationDatum(Record):
     """First-order datum over k[eps]/eps^2: lam(sigma_i) = 1 + eps lambda1_i,
     C(sigma_i) = c(sigma_i) + eps delta_i, and the first-order Weierstrass
     coefficients a1 of 1/ftilde = t^m + eps sum a1[mu] t^mu."""
-    ch: object
-    lambda1: tuple
-    delta: tuple
-    a1: tuple
+    __slots__ = ("ch", "lambda1", "delta", "a1")
+
+    def __init__(self, ch, lambda1, delta, a1):
+        self.ch = ch
+        self.lambda1 = lambda1
+        self.delta = delta
+        self.a1 = a1
 
     def algebra(self):
         return make_artin_algebra(self.ch.field, 2)

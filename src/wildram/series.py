@@ -37,12 +37,11 @@ F_q[eps]/eps^n shares the field inner's table.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress, repeat
 from math import comb, gcd
 from operator import attrgetter, itemgetter, sub
 
-from .coeffring import ArtinAlgebraDescriptor, RingMismatch, ring_is_field
+from .coeffring import Record, RingMismatch, ring_is_field
 
 INF = 10 ** 9
 
@@ -648,12 +647,15 @@ def revert(a):
 
 # -- Weierstrass preparation --------------------------------------------------
 
-@dataclass(frozen=True)
-class DistinguishedPolynomial:
-    """t^m + a_{m-1} t^{m-1} + ... + a_0 with every a_i in the maximal ideal."""
-    ring: ArtinAlgebraDescriptor
-    degree: int
-    coeffs: tuple  # raw coefficients a_0 ... a_{m-1}
+class DistinguishedPolynomial(Record):
+    """t^m + a_{m-1} t^{m-1} + ... + a_0 with every a_i in the maximal ideal,
+    over an Artin ring; coeffs are the raw a_0 ... a_{m-1}."""
+    __slots__ = ("ring", "degree", "coeffs")
+
+    def __init__(self, ring, degree, coeffs):
+        self.ring = ring
+        self.degree = degree
+        self.coeffs = coeffs
 
     def to_series(self, prec=INF):
         terms = {self.degree: self.ring.raw_one()}

@@ -9,7 +9,7 @@ from wildram import linalg
 from wildram.addpoly import moore_det, ore_recursion
 from wildram.ascover import ReductionMismatch
 from wildram.autoreps import build_rho, group_mul, make_character, peeled
-from wildram.coeffring import make_field
+from wildram.coeffring import _polmod_mul, make_field
 from wildram.cohomology import PolePartClass, action_matrix, cocycle_class_vector
 from wildram.series import INF, LaurentSeries, compose
 
@@ -236,6 +236,40 @@ def mat_mul(field, a, b):
 
 
 # -- oracle: one element class per coefficient ring ----------------------------
+
+def oracle_field_tables(field):
+    """Oracle: (add, mul, neg, inv, frob, frob_inv) of the field, every add
+    and mul entry from its coefficient vectors, inverses by search."""
+    p, q = field.p, field.q
+    vecs = [field.idx_to_coeffs(i) for i in range(q)]
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    for i in range(q):
+        vi = vecs[i]
+        for j in range(i, q):
+            vj = vecs[j]
+            s = field.coeffs_to_idx(tuple((a + b) % p for a, b in zip(vi, vj)))
+            add[i][j] = add[j][i] = s
+            m = field.coeffs_to_idx(_polmod_mul(vi, vj, field.modulus, p))
+            mul[i][j] = mul[j][i] = m
+    neg = [field.coeffs_to_idx(tuple((-c) % p for c in vecs[i])) for i in range(q)]
+    inv = [0] * q
+    for i in range(1, q):
+        for j in range(1, q):
+            if mul[i][j] == 1:
+                inv[i] = j
+                break
+    frob = [0] * q
+    for i in range(q):
+        acc = i
+        for _ in range(p - 1):
+            acc = mul[acc][i]
+        frob[i] = acc
+    frob_inv = [0] * q
+    for i in range(q):
+        frob_inv[frob[i]] = i
+    return (add, mul, neg, inv, frob, frob_inv)
+
 
 def field_raw_pow(field, a, n):
     """Oracle: a^n in a field by square-and-multiply on the product table."""

@@ -5,9 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_constants, oracle_elem, oracle_raw
+from conftest import oracle_constants, oracle_elem, oracle_field_tables, oracle_raw
 from wildram.addpoly import PPolynomial, ppoly_apply
 from wildram.autoreps import make_character
+from wildram.cli import selftest_grid
 from wildram.coeffring import (
     ArtinElem,
     FieldElem,
@@ -329,3 +330,15 @@ def test_elem_returns_an_element_of_its_own_field():
     field = make_field(5, 2)
     for x in field.elements():
         assert field.elem(x) == x
+
+
+# every field of the selftest grid, GF(9) among them with the modulus
+# x^2 + 1 whose root x is not primitive, and the largest fields in scope
+TABLE_FIELDS = sorted({(pt["field"]["p"], pt["field"]["d"]) for pt in selftest_grid()}
+                      | {(2, 6), (5, 3), (5, 4)})
+
+
+@pytest.mark.parametrize("p,d", TABLE_FIELDS)
+def test_tables_from_a_primitive_element_match_the_oracle(p, d):
+    field = make_field(p, d)
+    assert field.tables() == oracle_field_tables(field)

@@ -2,7 +2,6 @@
 obstruction classes."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +24,7 @@ from wildram.cohomology import (
 from wildram.coeffring import ArtinElem, make_artin_algebra, make_field
 from wildram.deform import (
     DeformationDatum,
+    MatrixRep,
     NoSolution,
     cocycle_formula,
     cocycle_formula_cochain,
@@ -146,9 +146,10 @@ def generator_reps(draw):
         e = draw(st.sampled_from(sorted(rep.C)))
         bump = elem(draw(st.integers(0, q - 1)))
         assume(bump)
-        table = draw(st.sampled_from(["C", "lam"]))
-        rep = replace(rep, **{table: {**getattr(rep, table),
-                                      e: getattr(rep, table)[e] + bump}})
+        if draw(st.sampled_from(["C", "lam"])) == "C":
+            rep = MatrixRep(A, ch, {**rep.C, e: rep.C[e] + bump}, rep.lam)
+        else:
+            rep = MatrixRep(A, ch, rep.C, {**rep.lam, e: rep.lam[e] + bump})
     return rep
 
 
@@ -174,14 +175,14 @@ def test_one_corrupted_table_entry_fails_only_the_table_check(p, s, m):
     ch = character_for(p, s, m)
     datum = seeded_datum(ch, random.Random(70 + 10 * p + s + m))
     if p == 2:
-        datum = replace(datum, lambda1=(ch.field.zero(),) * s)
+        datum = DeformationDatum(ch, (ch.field.zero(),) * s, datum.delta, datum.a1)
     rep = datum.matrix_rep()
     assert rep_validate(rep) == {"valid": True, "failures": []}
     gens = {ch.generator(i).exps for i in range(1, s + 1)}
     for e in rep.C:
         if e in gens:
             continue
-        bad = replace(rep, C={**rep.C, e: rep.C[e] + rep.A.eps()})
+        bad = MatrixRep(rep.A, ch, {**rep.C, e: rep.C[e] + rep.A.eps()}, rep.lam)
         assert rep_validate(bad)["failures"] == [("table", e)]
         assert not all_pairs_validate(bad)["valid"]
 
