@@ -28,16 +28,19 @@ def default_precision(p, m):
 class Character(Record):
     """The character c: V = (Z/p)^s -> field with values vals = c(sigma_1),
     ..., c(sigma_s) on the generators, and the conductor m."""
-    # rho_memo is build_rho's memo, keyed (g.exps, prec); it stays outside
-    # equality, hash and repr
-    __slots__ = ("field", "s", "vals", "m", "rho_memo")
+    # memo holds what depends on the character alone, each entry built on
+    # first use: build_rho's series, keyed ("rho", g.exps, prec), the peel
+    # order of V (peeled), the generator complex and the echelon form of
+    # its coboundaries (cohomology), and the chords of deform.deformed_rho.
+    # It stays outside equality, hash and repr.
+    __slots__ = ("field", "s", "vals", "m", "memo")
 
     def __init__(self, field, s, vals, m):
         self.field = field
         self.s = s
         self.vals = vals
         self.m = m
-        self.rho_memo = {}
+        self.memo = {}
         p = field.p
         if self.s < 1 or len(self.vals) != self.s:
             raise InvalidCharacter("need exactly s generator values")
@@ -122,12 +125,18 @@ def group_pow(ch, g, k):
 def peeled(ch):
     """Each non-identity g of V as (g, i, rest) with g = sigma_{i+1} rest and
     i the first nonzero exponent of g, in ch.group() order, so that rest
-    always comes before g: tables over V fill in one pass."""
-    for g in ch.group():
-        i = next((j for j, e in enumerate(g.exps) if e), None)
-        if i is not None:
-            e = g.exps
-            yield g, i, GroupElem(e[:i] + (e[i] - 1,) + e[i + 1:])
+    always comes before g: tables over V fill in one pass.  The peel is
+    built once per character and kept in its memo."""
+    peel = ch.memo.get("peel")
+    if peel is None:
+        peel = []
+        for g in ch.group():
+            i = next((j for j, e in enumerate(g.exps) if e), None)
+            if i is not None:
+                e = g.exps
+                peel.append((g, i, GroupElem(e[:i] + (e[i] - 1,) + e[i + 1:])))
+        peel = ch.memo["peel"] = tuple(peel)
+    return peel
 
 
 def additive_value(field, vals, g):
@@ -168,9 +177,10 @@ def build_rho(ch, g, prec=None):
     element and precision."""
     if prec is None:
         prec = default_precision(ch.p, ch.m)
-    key = (g.exps, prec)
-    if key in ch.rho_memo:
-        return ch.rho_memo[key]
+    key = ("rho", g.exps, prec)
+    rho = ch.memo.get(key)
+    if rho is not None:
+        return rho
     field = ch.field
     p, m = ch.p, ch.m
     c = character_value(ch, g).raw
@@ -181,7 +191,7 @@ def build_rho(ch, g, prec=None):
         coeffs[1 + k * m] = field.raw_mul(field.raw_from_int(b), ck)
         ck = field.raw_mul(ck, c)
     rho = LaurentSeries(field, coeffs, prec)
-    ch.rho_memo[key] = rho
+    ch.memo[key] = rho
     return rho
 
 

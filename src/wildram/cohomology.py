@@ -19,7 +19,9 @@ of the invariant fields, one echelon form per graded component.  On M,
 of H^2 and the coboundary tests all read its differentials: `d1_preimage`
 on the relations of V, such as the defects of an obstruction, and
 `H2Engine.is_coboundary` on all pairs of group elements, pulled back along
-the chain map from the periodic resolutions to the bar resolution.
+the chain map from the periodic resolutions to the bar resolution.  Those
+differentials and the echelon form of the coboundaries depend on the
+character alone: they are built once per character, in its memo.
 Alongside sit the closed dimension formula of H^1(V, T), the cyclic
 basis, the splitting criterion and the Krull dimension of the unobstructed
 locus.
@@ -175,6 +177,28 @@ def _generator_actions(ch):
     return _action(ch, gens, _pole_exponents(ch.m))
 
 
+def _generator_complex(ch, top):
+    """The differentials d^0, ..., d^top, at least, of the generator
+    complex on M, as _complex builds them.  They depend on the character
+    alone, so they are kept in its memo, built again only when a higher
+    degree is asked for; callers only read them."""
+    d = ch.memo.get("complex")
+    if d is None or len(d) <= top:
+        d = ch.memo["complex"] = _complex(ch.field, _generator_actions(ch), top)
+    return d
+
+
+def _coboundary_echelon(ch):
+    """(rows, pivots): the echelon form of the columns of d^0 of the
+    generator complex, which span the coboundaries, kept in the
+    character's memo."""
+    echelon = ch.memo.get("coboundaries")
+    if echelon is None:
+        d0 = _generator_complex(ch, 0)[0]
+        echelon = ch.memo["coboundaries"] = linalg.rref(ch.field, list(zip(*d0)))
+    return echelon
+
+
 # -- brute-force H^1 ----------------------------------------------------------
 
 def component_action_matrix(ch, r, K):
@@ -284,7 +308,7 @@ def h1_brute_force(ch):
 
 def is_cocycle(ch, cochain):
     """Check the 1-cocycle conditions for values given on the generators."""
-    d1 = _complex(ch.field, _generator_actions(ch), 1)[1]
+    d1 = _generator_complex(ch, 1)[1]
     return not any(linalg.mat_vec(ch.field, d1, cochain.vector()))
 
 
@@ -297,8 +321,7 @@ def cocycle_class_vector(ch, cochain):
     if len(vec) != ch.s * (ch.m + 1):
         raise CochainLengthMismatch("expected %d coordinates, got %d"
                                     % (ch.s * (ch.m + 1), len(vec)))
-    d0 = _complex(ch.field, _generator_actions(ch), 0)[0]
-    bred, bpivots = linalg.rref(ch.field, list(zip(*d0)))
+    bred, bpivots = _coboundary_echelon(ch)
     return linalg.reduce_against(ch.field, bred, bpivots, vec)
 
 
@@ -383,7 +406,7 @@ def d1_preimage(ch, blocks):
     """A 1-cochain gamma with d^1 gamma the 2-cochain whose blocks, in the
     order of _multi_indices(s, 2), are the given PolePartClass values;
     None when there is none."""
-    d1 = _complex(ch.field, _generator_actions(ch), 1)[1]
+    d1 = _generator_complex(ch, 1)[1]
     gamma = linalg.solve(ch.field, d1, [x for b in blocks for x in b.vector()])
     return None if gamma is None else OneCochain.from_vector(ch, gamma)
 
@@ -398,7 +421,7 @@ class H2Engine:
             raise TooLarge("2-cochain space too large (p^s > 27)")
         self.ch = ch
         self._mats = {g.exps: action_matrix(ch, g) for g in ch.group()}
-        self._gens = _generator_actions(ch)
+        self._d = _generator_complex(ch, 2)
 
     def _act(self, exps, x):
         return PolePartClass.from_vector(
@@ -448,13 +471,12 @@ class H2Engine:
 
     def z2_dimension(self):
         """dim Z^2 = dim C^2 - rank d^2 in the generator complex."""
-        d2 = _complex(self.ch.field, self._gens, 2)[2]
+        d2 = self._d[2]
         return len(d2[0]) - linalg.rank(self.ch.field, d2)
 
     def h2_dimension(self):
         """dim Z^2 - dim B^2, with dim B^2 = rank d^1."""
-        d1 = _complex(self.ch.field, self._gens, 1)[1]
-        return self.z2_dimension() - linalg.rank(self.ch.field, d1)
+        return self.z2_dimension() - linalg.rank(self.ch.field, self._d[1])
 
     def d1_of(self, beta_table):
         """The 2-coboundary of a 1-cochain given as dict g.exps -> PolePartClass."""

@@ -41,7 +41,7 @@ from itertools import compress, repeat
 from math import comb, gcd
 from operator import attrgetter, itemgetter, sub
 
-from .coeffring import Record, RingMismatch, ring_is_field
+from .coeffring import Record, RingMismatch, make_artin_algebra, ring_is_field
 
 INF = 10 ** 9
 
@@ -173,8 +173,8 @@ class LaurentSeries:
         self.ring = ring
         self.prec = prec
         self._powers = self._valuations = self._terms = None
-        self.coeffs = {e: c for e, c in coeffs.items()
-                       if e < prec and not ring.raw_is_zero(c)}
+        zero = ring.raw_zero()
+        self.coeffs = {e: c for e, c in coeffs.items() if e < prec and c != zero}
 
     # -- constructors ---------------------------------------------------------
 
@@ -375,6 +375,15 @@ class LaurentSeries:
         return LaurentSeries(r.base, {e: r.raw_residue(c) for e, c in self.coeffs.items()},
                              self.prec)
 
+    def reduce(self, n):
+        """Image under F_q[eps]/eps^N -> F_q[eps]/eps^n, n < N; the residue
+        field for n = 1."""
+        r = self.ring
+        if n == 1:
+            return self.residue()
+        return LaurentSeries(make_artin_algebra(r.base, n),
+                             {e: c[:n] for e, c in self.coeffs.items()}, self.prec)
+
     def lift_ring(self, target):
         """Zero-padded lift of coefficients into a larger Artin ring (or from the field)."""
         r = self.ring
@@ -393,7 +402,8 @@ class LaurentSeries:
     # -- comparisons / io -----------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, LaurentSeries) and self.ring == other.ring
+        return (isinstance(other, LaurentSeries)
+                and (self.ring is other.ring or self.ring == other.ring)
                 and self.prec == other.prec and self.coeffs == other.coeffs)
 
     def eq_to_prec(self, other):

@@ -203,7 +203,7 @@ def test_group_law_reports_the_first_pair_through_a_wrong_rho(planted):
     want_pairs = verify_group_law(character_for(3, 2, 4))["pairs_checked"]
     g = autoreps.GroupElem(planted)
     rho = build_rho(ch, g, prec)
-    ch.rho_memo[(g.exps, prec)] = rho + LaurentSeries.t_power(ch.field, 6, prec)
+    ch.memo[("rho", g.exps, prec)] = rho + LaurentSeries.t_power(ch.field, 6, prec)
     gens = [ch.generator(i) for i in (1, 2)]
     order = [(a, b) for a in gens for b in gens] + \
         [(a, b) for a in ch.group() for b in ch.group()]

@@ -11,13 +11,16 @@ from wildram.cohomology import (
     H2Engine,
     OneCochain,
     PolePartClass,
+    _coboundary_echelon,
     _complex,
     _component_classes,
     _generator_actions,
+    _generator_complex,
     _multi_indices,
     action_matrix,
     component_action_matrix,
     cocycle_class_vector,
+    d1_preimage,
     h1_basis_cyclic,
     h1_brute_force,
     h1_closed_formula,
@@ -538,3 +541,25 @@ def test_is_coboundary_solves_in_the_generator_complex(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counting_rref)
     assert [eng.is_coboundary(t) for t in tables] == [True, False]
     assert rows and max(rows) <= 12
+
+
+@pytest.mark.parametrize("p,s,m", small_grid())
+def test_memoized_generator_complex_matches_a_fresh_build(p, s, m):
+    """The differentials and the coboundary echelon kept in the character's
+    memo equal fresh builds, a lower degree is read from the complex
+    already built, and a warm character gives is_cocycle,
+    cocycle_class_vector and d1_preimage the answers of a fresh one."""
+    ch = character_for(p, s, m)
+    fresh = _complex(ch.field, _generator_actions(ch), 2)
+    assert _generator_complex(ch, 1) == fresh[:2]
+    assert _generator_complex(ch, 2) == fresh
+    assert _generator_complex(ch, 0) is _generator_complex(ch, 2)
+    assert _coboundary_echelon(ch) == linalg.rref(ch.field, list(zip(*fresh[0])))
+    rng = random.Random(900 + 100 * p + 10 * s + m)
+    nblocks = len(_multi_indices(s, 2))
+    for _ in range(4):
+        cochain = OneCochain(ch, tuple(random_pole_class(ch, rng) for _ in range(s)))
+        blocks = [random_pole_class(ch, rng) for _ in range(nblocks)]
+        for fn, arg in ((is_cocycle, cochain), (cocycle_class_vector, cochain),
+                        (d1_preimage, blocks)):
+            assert fn(ch, arg) == fn(character_for(p, s, m), arg)

@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wildram import deform
+from wildram import cohomology, deform
 from wildram.ascover import ReductionMismatch
 from wildram.autoreps import (
+    Character,
     build_rho,
     character_value,
     group_mul,
@@ -347,12 +348,12 @@ def test_tangent_extraction_product_count(monkeypatch):
 
 def test_tangent_extraction_composes_only_with_the_memoized_rho(monkeypatch):
     """Timer-free cost guard: one extraction at (5,2,19) composes ftilde
-    and its derivative, at most twice per generator over the dual numbers,
-    always with the memoized field series rho_g as the inner series, at
-    the working precision derived from the window m + 2, and inverts no
-    series directly.  The
-    chord solve composed ftilde with a fresh T over A; the Newton solve
-    composed ftilde' as well and inverted the result."""
+    and the derivative of its residue, the part of ftilde' that meets
+    delta over the dual numbers, at most twice per generator, always with
+    the memoized field series rho_g as the inner series, at the working
+    precision derived from the window m + 2, and inverts no series
+    directly.  The chord solve composed ftilde with a fresh T over A; the
+    Newton solve composed ftilde' as well and inverted the result."""
     ch = character_for(5, 2, 19)
     datum = seeded_datum(ch, random.Random(19))
     rep = datum.matrix_rep()
@@ -372,11 +373,37 @@ def test_tangent_extraction_composes_only_with_the_memoized_rho(monkeypatch):
     tangent_cocycle_extract(rep, ftilde)
     work = ch.m + 2 + 2 * (-ftilde.lead - ch.m)
     rhos = [build_rho(ch, ch.generator(i), work) for i in range(1, ch.s + 1)]
-    dft = ftilde.derivative(1)
+    dft = ftilde.residue().derivative(1)
     assert calls and len(calls) <= 2 * ch.s
     assert all(any(inner is rho for rho in rhos) for _, inner in calls)
     assert all(outer is ftilde or outer == dft for outer, _ in calls)
     assert not inversions
+
+
+def test_second_extraction_on_a_warm_character_rebuilds_nothing(monkeypatch):
+    """Timer-free cost guard: what depends on the character alone is built
+    once.  After one extraction at (5,2,19), a second one, from another
+    datum moving at t^0 as well, so at the same working precision, builds
+    no module action and no differential (_action, _complex), no power of
+    rho_g (the chord) and no list of V (the peel of matrix_rep)."""
+    ch = character_for(5, 2, 19)
+    data = [make_datum(ch, [0, 0], [k, 1], [k + 1] + [k] * 18) for k in (1, 2)]
+    ftildes = [datum.ftilde(16 * (ch.m + 2)) for datum in data]
+    tangent_cocycle_extract(data[0].matrix_rep(), ftildes[0])
+    calls = []
+
+    def tracing(name, fn):
+        def traced(*args):
+            calls.append(name)
+            return fn(*args)
+        return traced
+
+    for owner, name in ((cohomology, "_action"), (cohomology, "_complex"),
+                        (LaurentSeries, "pow"), (Character, "group")):
+        monkeypatch.setattr(owner, name, tracing(name, getattr(owner, name)))
+    coc = tangent_cocycle_extract(data[1].matrix_rep(), ftildes[1])
+    assert not calls
+    assert coc == cocycle_formula_cochain(data[1])
 
 
 @pytest.mark.parametrize("terms", [{-3: 1, -1: 1}, {-3: 2}, {-3: 1, 2: 1},
@@ -418,6 +445,28 @@ def square_root_solution(rep, g, D, work):
     return W - shift
 
 
+def eps_linear_case(p, m, n, seed, ftilde_prec=None):
+    """Seeded data at (p, 1, m) over F_p[eps]/eps^n: lam = 1 + eps t c,
+    C = c + eps delta and ftilde = 1/D, D = t^m + eps sum_{mu<m} a_mu t^mu,
+    with t, delta, a_0, ..., a_{m-1} drawn in this order from
+    random.Random(seed).  ftilde is known to t^ftilde_prec, by default
+    16(m+2).  Returns (rep, D, ftilde)."""
+    ch = character_for(p, 1, m)
+    A = make_artin_algebra(ch.field, n)
+    eps = A.eps()
+    rng = random.Random(seed)
+    t, delta, *a = (A.include(ch.field.from_raw(rng.randrange(p)))
+                    for _ in range(m + 2))
+    c = A.include(ch.vals[0])
+    rep = make_matrix_rep(A, ch, [c + eps * delta], [A.one() + eps * t * c])
+    terms = {m: A.one()}
+    terms.update((mu, eps * x) for mu, x in enumerate(a))
+    D = LaurentSeries.make(A, terms)
+    if ftilde_prec is None:
+        ftilde_prec = 16 * (m + 2)
+    return rep, D, invert_unit_series(D.truncate(ftilde_prec + 2 * m))
+
+
 def test_deformed_rho_over_eps3_agrees_with_the_square_root_oracle():
     """Non-trivial data over F_5[eps]/eps^3 at (5,1,2), lam = 1 + eps t c,
     C = c + eps delta, ftilde = 1/(t^2 + eps(a0 + a1 t)), six seeds, every
@@ -427,19 +476,11 @@ def test_deformed_rho_over_eps3_agrees_with_the_square_root_oracle():
     T has a pole the solve raises NoSolution.  The chord solve that
     composed ftilde with T refused seeds 0, 1 and 4 as not converging,
     though their T has lead 0."""
-    ch = character_for(5, 1, 2)
-    A = make_artin_algebra(ch.field, 3)
-    eps = A.eps()
-    prec = 3 * (ch.m + 2)
+    prec = 3 * (2 + 2)
     outcomes = set()
     for seed in range(6):
-        rng = random.Random(seed)
-        t, delta, a0, a1 = (A.include(ch.field.from_raw(rng.randrange(5)))
-                            for _ in range(4))
-        c = A.include(ch.vals[0])
-        rep = make_matrix_rep(A, ch, [c + eps * delta], [A.one() + eps * t * c])
-        D = LaurentSeries.make(A, {2: A.one(), 0: eps * a0, 1: eps * a1})
-        ftilde = invert_unit_series(D.truncate(16 * (ch.m + 2) + 2 * ch.m))
+        rep, D, ftilde = eps_linear_case(5, 2, 3, seed)
+        A, ch = rep.A, rep.ch
         for g in ch.group():
             if g.is_identity():
                 continue
@@ -460,10 +501,18 @@ def test_deformed_rho_over_eps3_agrees_with_the_square_root_oracle():
     assert outcomes == {"pole", 0, 1}
 
 
+# (p, m) of the eps^3 sweep of eps_linear_case data, at s = 1
+EPS_SWEEP = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2), (5, 3), (3, 4)]
+
+
 def test_derived_start_needs_no_rerun(monkeypatch):
     """The working precision prec + n gap certifies prec on the first run:
     deformed_rho builds rho_g once per call, on seeded data over eps^2 at
-    every group element of the small grid."""
+    every group element of the small grid, and over eps^3 on the data of
+    eps_linear_case, eight seeds at each point of EPS_SWEEP (the (5,1,2)
+    data of the square-root oracle among them), every non-identity
+    element, where it returns T or finds its pole.  With F_k composed
+    whole, not mod eps^(3-k), 59 of those eps^3 calls ran again."""
     builds = []
 
     def counting_build_rho(ch, g, prec=None):
@@ -471,18 +520,59 @@ def test_derived_start_needs_no_rerun(monkeypatch):
         return build_rho(ch, g, prec)
 
     monkeypatch.setattr(deform, "build_rho", counting_build_rho)
-    calls = 0
+    cases = []
     for p, s, m in small_grid():
         ch = character_for(p, s, m)
         rng = random.Random(1000 * p + 10 * s + m)
         for _ in range(2):
             datum = seeded_datum(ch, rng)
-            rep, ftilde = datum.matrix_rep(), datum.ftilde(16 * (m + 2))
-            for g in ch.group():
-                if not g.is_identity():
-                    deformed_rho(rep, ftilde, g, 3 * (m + 2))
-                    calls += 1
+            cases.append((datum.matrix_rep(), datum.ftilde(16 * (m + 2))))
+    cases += [eps_linear_case(p, m, 3, seed)[::2] for p, m in EPS_SWEEP
+              for seed in range(8)]
+    calls, outcomes = 0, set()
+    for rep, ftilde in cases:
+        for g in rep.ch.group():
+            if g.is_identity():
+                continue
+            try:
+                deformed_rho(rep, ftilde, g, 3 * (rep.ch.m + 2))
+                outcomes.add(rep.A.n)
+            except NoSolution as e:
+                assert "pole" in str(e)
+                outcomes.add("pole")
+            calls += 1
     assert len(builds) == calls
+    assert outcomes == {2, 3, "pole"}
+
+
+def test_eps4_solve_with_a_pole_is_refused_as_such():
+    """Over eps^4 at (3,1,4), seed 3 of eps_linear_case: composing F_k
+    whole lost more precision than a rerun won back, so the solve was
+    refused for insufficient working precision.  Read mod eps^(4-k), it
+    certifies and finds the solution's pole, as a solve from ftilde known
+    to t^600 at t^60 does."""
+    rep, _, ftilde = eps_linear_case(3, 4, 4, 3)
+    _, _, long_ftilde = eps_linear_case(3, 4, 4, 3, 600)
+    for g in rep.ch.group()[1:]:
+        with pytest.raises(NoSolution, match="pole"):
+            deformed_rho(rep, ftilde, g, 18)
+        with pytest.raises(NoSolution, match="pole"):
+            deformed_rho(rep, long_ftilde, g, 60)
+
+
+def test_eps4_solve_refused_for_precision_now_certifies():
+    """Over eps^4 at (3,1,4), seed 6 of eps_linear_case, both non-identity
+    elements: refused for insufficient working precision while F_k was
+    composed whole, the solve now returns T mod t^18, and it agrees with
+    a solve from ftilde known to t^600 at t^60."""
+    rep, _, ftilde = eps_linear_case(3, 4, 4, 6)
+    _, _, long_ftilde = eps_linear_case(3, 4, 4, 6, 600)
+    for g in rep.ch.group()[1:]:
+        got = deformed_rho(rep, ftilde, g, 18)
+        want = deformed_rho(rep, long_ftilde, g, 60)
+        assert got.prec == 18 and got.lead >= 0
+        assert got == want.truncate(18)
+        assert not got.eps_component(3).is_zero()
 
 
 def composed_extraction(rep, ftilde, prec):

@@ -3,8 +3,9 @@ parameter of a library function is read by its body, every private
 module-level function is called from somewhere else in the library, no
 library module checks an invariant with ``assert``, which ``python -O``
 strips, or with a hand-raised ``AssertionError``, which names no invariant,
-only ``coeffring`` tells a field element from an Artin element, and only
-its two factories build a ring descriptor.
+only ``coeffring`` tells a field element from an Artin element, only
+its two factories build a ring descriptor, and only the memo accessor of
+the generator complex builds its differentials.
 
 The import scan skips the package's ``__init__.py``, since its imports are
 the public re-exports, and ``from __future__``.
@@ -260,3 +261,41 @@ def test_only_the_factories_build_ring_descriptors(module):
     __eq__."""
     factories = ("_field_cache", "make_artin_algebra") if module == "coeffring.py" else ()
     assert descriptor_constructions((SRC / module).read_text(), factories) == []
+
+
+def generator_complex_builds(source, accessor="_generator_complex"):
+    """(line, name) for each call of _generator_actions, by name or as an
+    attribute, outside the body of the module-level function accessor:
+    the generators' actions on M feed only the differentials that the
+    accessor keeps in the character's memo."""
+    tree = ast.parse(source)
+    inside = {id(n) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == accessor
+              for n in ast.walk(fn)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "_generator_actions":
+                out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_generator_complex_scanner_flags_only_builds_outside_the_accessor():
+    source = ("from . import cohomology\n"
+              "def _generator_complex(ch, top):\n"
+              "    return _complex(ch.field, _generator_actions(ch), top)\n"
+              "def is_cocycle(ch, x):\n"
+              "    d1 = _complex(ch.field, _generator_actions(ch), 1)[1]\n"
+              "    gens = cohomology._generator_actions(ch)\n"
+              "    return d1, gens, _generator_complex(ch, 1)\n")
+    assert generator_complex_builds(source) == [
+        (5, "_generator_actions"), (6, "_generator_actions")]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_only_the_memo_accessor_builds_the_generator_complex(module):
+    """The differentials of the generator complex on M depend on the
+    character alone: every reader takes them from _generator_complex,
+    which builds them once per character, and none rebuilds them."""
+    assert generator_complex_builds((SRC / module).read_text()) == []

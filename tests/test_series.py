@@ -577,6 +577,25 @@ def test_compose_with_a_residue_field_inner_matches_the_lifted_inner(ring, data)
         assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
 
 
+@pytest.mark.parametrize("ring", [F5_EPS3, F9_EPS3, make_artin_algebra(F5, 4)],
+                         ids=["F5_eps3", "F9_eps3", "F5_eps4"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reduce_is_the_ring_map_to_a_lower_eps_order(ring, data):
+    """reduce(k) keeps the eps-components below k, over F_q[eps]/eps^k or
+    the residue field for k = 1, at the same precision, and is
+    multiplicative where both products are known."""
+    a, b = (data.draw(ring_series(ring)) for _ in range(2))
+    assert a.reduce(1) == a.residue()
+    for k in range(1, ring.n):
+        red = a.reduce(k)
+        assert red.ring is (ring.base if k == 1 else make_artin_algebra(ring.base, k))
+        assert red.prec == a.prec
+        assert red.lift_ring(ring) == LaurentSeries(
+            ring, {e: c[:k] + (0,) * (ring.n - k) for e, c in a.coeffs.items()}, a.prec)
+        assert (a * b).reduce(k).eq_to_prec(red * b.reduce(k))
+
+
 def test_compose_refuses_an_inner_over_another_ring():
     rho = LaurentSeries.make(F5, {1: 1, 3: 2}, 9)
     for outer, inner in [(LaurentSeries.make(F5, {-1: 1}, 9), rho.lift_ring(F5_EPS2)),

@@ -14,8 +14,9 @@ from wildram.addpoly import PPolynomial
 from wildram.ascover import ASCover, CoverClass
 from wildram.autoreps import Character, GroupElem, InvalidCharacter, make_character
 from wildram.coeffring import ArtinElem, FieldElem, make_artin_algebra, make_field
-from wildram.cohomology import OneCochain, PolePartClass
-from wildram.deform import DeformationDatum, MatrixRep, trivial_rep
+from wildram.cohomology import OneCochain, PolePartClass, cocycle_class_vector
+from wildram.deform import (DeformationDatum, MatrixRep, make_datum,
+                            tangent_cocycle_extract, trivial_rep)
 from wildram.series import INF, DistinguishedPolynomial, LaurentSeries
 
 F5 = make_field(5)
@@ -93,10 +94,16 @@ def test_slotted_and_readable(cls, args, change, hashable):
     assert " object at 0x" not in repr(x)
 
 
-def test_character_equality_ignores_the_rho_memo():
+def test_character_equality_ignores_the_memo():
+    """Every kind of memo entry, each filled by the code that reads it:
+    build_rho's series, the peel, the generator complex and the chords of
+    a tangent extraction, and the echelon form of the coboundaries."""
     a, b = make_character(F5, [[1]], 3), make_character(F5, [[1]], 3)
-    a.rho_memo[((1,), 12)] = "filled"
-    assert a == b and hash(a) == hash(b) and not b.rho_memo
+    datum = make_datum(a, [1], [2], [1, 0, 3])
+    cocycle_class_vector(a, tangent_cocycle_extract(datum.matrix_rep(), datum.ftilde(20)))
+    assert {key if isinstance(key, str) else key[0] for key in a.memo} == {
+        "rho", "peel", "complex", "chord", "coboundaries"}
+    assert a == b and hash(a) == hash(b) and not b.memo
     assert repr(a) == repr(b) == (
         "Character(field=GF(5^1), s=1, vals=(Fq[1],), m=3)")
 
