@@ -13,11 +13,12 @@ m+1 pole parts, and on the graded components of T_K/T.  H^1 and H^2 are
 computed by exact linear algebra over k in one generator complex
 Hom_V(P, -), where P is the tensor product of the periodic resolutions of
 the s cyclic factors.  `h1_brute_force` reads H^1(V, T) off the exact
-sequence 0 -> T -> T_K -> T_K/T -> 0: the invariant pole parts modulo those
-of the invariant fields, one echelon form per graded component.  On M,
-`is_cocycle`, the coboundaries behind `cocycle_class_vector`, the dimension
-of H^2 and the coboundary tests all read its differentials: `d1_preimage`
-on the relations of V, such as the defects of an obstruction, and
+sequence 0 -> T -> T_K -> T_K/T -> 0: the invariant pole parts modulo
+those of the invariant fields, one elimination per class of graded
+components.  On M, `is_cocycle`, the coboundaries behind
+`cocycle_class_vector`, the dimension of H^2 and the coboundary tests all
+read its differentials: `d1_preimage` on the relations of V, such as the
+defects of an obstruction, and
 `H2Engine.is_coboundary` on all pairs of group elements, pulled back along
 the chain map from the periodic resolutions to the bar resolution.  Those
 differentials and the echelon form of the coboundaries depend on the
@@ -131,7 +132,10 @@ def _action(ch, gs, exps):
     exps, built in one pass.  Entry (i, j) of g is the coefficient of
     t^{exps[i]} in the image of t^{exps[j]}, namely binom(-e/m, d) c(g)^d
     when exps[i] = e + dm with e = exps[j] and d >= 0; the binomials of a
-    column are one Lucas row, shared by every g.  Since c(g^k) = k c(g),
+    column are one row, shared by every g: a Lucas row, or, when e is m
+    above the previous column's exponent (along a component of T_K/T),
+    x = -e/m is one below and binom(x, d) = binom(x + 1, d) - binom(x, d - 1)
+    steps the previous row.  Since c(g^k) = k c(g),
     the entry of g^k is k^d times that of g, and sum_{k in F_p} k^d is -1
     when d > 0 and p - 1 divides d, and 0 otherwise: N is -g on those
     entries and 0 elsewhere.  Images only move up in exponent and terms
@@ -150,7 +154,13 @@ def _action(ch, gs, exps):
     pairs = [([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
              for _ in gs]
     for j, e in enumerate(exps):
-        for d, b in enumerate(binom_row_mod_p(-e, m, (top - e) // m + 1, p)):
+        length = (top - e) // m + 1
+        if j and e - exps[j - 1] == m:
+            binoms = list(accumulate(binoms[1:length],
+                                     lambda below, b: (b - below) % p, initial=1))
+        else:
+            binoms = binom_row_mod_p(-e, m, length, p)
+        for d, b in enumerate(binoms):
             i = pos.get(e + d * m)
             if b and i is not None:
                 row, in_norm = mul[b], d and d % (p - 1) == 0
@@ -273,13 +283,15 @@ def _component_classes(ch, r, B):
     each and lead at -j p^s, so every pivot that is a multiple of p^s is
     the lead of one of them.  The rows whose pivot exponent is not a
     multiple of p^s are therefore a basis of the quotient by their pole
-    parts."""
+    parts.  The kernel of d^0, the sigma_i - 1 stacked, comes from
+    nullspace in reduced echelon form, each row leading with a 1."""
     m, q = ch.m, ch.p ** ch.s
     K = (B + r - m - 1) // m
-    d0 = _complex(ch.field, component_action_matrix(ch, r, K), 0)[0]
-    inv, pivots = linalg.rref(ch.field, linalg.nullspace(ch.field, d0, K))
-    return [row for row, c in zip(inv, pivots)
-            if (r - m - 1 - (K - c) * m) % q]
+    d0 = [row for mat, _ in component_action_matrix(ch, r, K) for row in mat]
+    for i, row in enumerate(d0):
+        row[i % K] = 0  # the diagonal of each sigma_i is 1
+    return [row for row in linalg.nullspace(ch.field, d0, K)
+            if (r - m - 1 - (K - row.index(1)) * m) % q]
 
 
 def h1_brute_force(ch):
@@ -298,11 +310,27 @@ def h1_brute_force(ch):
     order of increasing r, pairs (r, v) of a component r < m and an
     invariant pole part v of that component, in the levels -K..-1 of
     component_action_matrix; "pole_bound" is B.
+
+    Component r has K(r) = floor((B + r - m - 1)/m) levels, at x = -e/m =
+    l + (m + 1 - r)/m, and entries binom(x, d) c(sigma)^d with d < K(r).
+    By Lucas's theorem binom(x, d) mod p for d < p^L depends only on x mod
+    p^L, so with p^L >= K(r), L >= s, the solve of component r, pivot
+    filter mod p^s included, depends only on (r mod p^L, K(r)).  L = s
+    will do: if m < p^s no two r < m meet mod p^s, and if m >= p^s then
+    K(r) = p^s - 1 + floor((p^s - 1 + r)/m) <= p^s.  Each class is solved
+    once, at its least r: at most 2 p^s solves, whatever m.
     """
     if ch.order() > 125:
         raise TooLarge("group order above 125 is out of scope")
-    B = ch.order() * (ch.m + 1)
-    basis = [(r, v) for r in range(ch.m) for v in _component_classes(ch, r, B)]
+    m, q = ch.m, ch.order()
+    B = q * (m + 1)
+    solved = {}
+    basis = []
+    for r in range(m):
+        key = (r % q, (B + r - m - 1) // m)
+        if key not in solved:
+            solved[key] = _component_classes(ch, r, B)
+        basis.extend((r, list(v)) for v in solved[key])
     return {"dim": len(basis), "basis": basis, "pole_bound": B}
 
 

@@ -59,21 +59,26 @@ def rank(field, rows):
 
 
 def nullspace(field, rows, ncols=None):
-    """Deterministic basis of the right nullspace."""
+    """The right nullspace in its reduced row echelon form, which is unique.
+    One elimination over the reversed columns: read back, each of its pivot
+    rows has other nonzeros only at free columns before its pivot, so the
+    vector of a free column f, 1 at f and minus those entries at f on the
+    pivots, vanishes before f and at the other free columns."""
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for empty matrix")
         ncols = len(rows[0])
-    red, pivots = rref(field, rows)
+    red, pivots = rref(field, [r[::-1] for r in rows])
     neg = field.tables()[2]
-    pivot_set = set(pivots)
+    last = ncols - 1
+    pivot_set = {last - c for c in pivots}
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [0] * ncols
         v[fc] = 1
         for r, pc in zip(red, pivots):
-            v[pc] = neg[r[fc]]
+            v[last - pc] = neg[r[last - fc]]
         basis.append(v)
     return basis
 

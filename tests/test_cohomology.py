@@ -30,11 +30,11 @@ from wildram.cohomology import (
     split_condition,
 )
 from wildram.ascover import downstairs_coordinate
-from wildram.autoreps import build_rho, group_mul
+from wildram.autoreps import build_rho, character_value, group_mul
 from wildram.series import LaurentSeries, invert_unit_series
 
-from conftest import (character_for, classes_equal, mat_mul, module_action,
-                      small_grid)
+from conftest import (binom_mod_p, character_for, classes_equal, grid_points,
+                      mat_mul, module_action, small_grid)
 
 # Every small_grid() point whose bar complex is small enough to solve, and
 # one s = 3 point for the e_i + e_j + e_k blocks of the generator complex.
@@ -143,32 +143,129 @@ def test_h1_formula_matches_brute_force_at_s3(p, s, m):
     assert h1_brute_force(character_for(p, s, m))["dim"] == h1_closed_formula(p, s, m)
 
 
-def test_h1_builds_no_products_and_one_lucas_row_per_column(monkeypatch):
-    """Timer-free cost guard: at (5,2,6) h1_brute_force multiplies no
-    matrices and computes no binomial entry by entry.  Each column of the
-    action on each component of t^{-B} k[[t]] / T is one Lucas row, shared
-    by the s generators, K_0 + ... + K_{m-1} rows in all.  Building the
-    norms as (sigma - 1)^{p-1} took 3 products per generator and component,
-    the action one binom_mod_p call per entry, and one Lucas row per
-    generator and column s times as many rows."""
-    ch = character_for(5, 2, 6)
-    products, entries, rows = [], [], []
+# Points with their number of component classes (r mod p^s, K(r)), K(r) =
+# (B + r - m - 1) // m with B = p^s (m+1).  (5,2,6): m < 25, so the 6
+# components are 6 classes; (2,2,19): K = 3 for r <= 15 and 4 after, so
+# 4 + 3 classes; (3,2,20): K = 8 for r <= 11 and 9 after, so 9 + 8.
+CLASS_COUNTS = {(5, 2, 6): 6, (2, 2, 19): 7, (3, 2, 20): 17}
+
+
+@pytest.mark.parametrize("p,s,m", [(5, 2, 6), (2, 2, 19)])
+def test_h1_builds_no_products_and_one_lucas_row_per_class(monkeypatch, p, s, m):
+    """Timer-free cost guard: h1_brute_force multiplies no matrices and
+    computes no binomial entry by entry.  It builds one component action
+    per class of components, whose first column is one Lucas row, shared
+    by the s generators, and whose other columns step down from it by
+    Pascal's rule.  Building the norms as (sigma - 1)^{p-1} took 3
+    products per generator and component, the action one binom_mod_p call
+    per entry; one Lucas row per column took K_0 + ... + K_{m-1} rows
+    (168 at (5,2,6)), and one solve per r < m took m actions."""
+    ch = character_for(p, s, m)
+    products, entries, rows, actions = [], [], [], []
     binom_row = cohomology.binom_row_mod_p
+    component = cohomology.component_action_matrix
 
     def counted_row(num, den, n, p):
         rows.append(n)
         return binom_row(num, den, n, p)
+
+    def counted_component(ch, r, K):
+        actions.append((r, K))
+        return component(ch, r, K)
 
     monkeypatch.setattr(linalg, "mat_mul", lambda *args: products.append(args),
                         raising=False)
     monkeypatch.setattr(cohomology, "binom_mod_p",
                         lambda *args: entries.append(args), raising=False)
     monkeypatch.setattr(cohomology, "binom_row_mod_p", counted_row)
+    monkeypatch.setattr(cohomology, "component_action_matrix", counted_component)
     out = h1_brute_force(ch)
-    assert out["dim"] == h1_closed_formula(5, 2, 6)
+    assert out["dim"] == h1_closed_formula(p, s, m)
     assert not products and not entries
-    B = out["pole_bound"]
-    assert len(rows) == sum(component_levels(ch, r, B)[0] for r in range(ch.m))
+    assert len(actions) == len(rows) == CLASS_COUNTS[p, s, m]
+    assert len(set(actions)) == len(actions)
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 2, 19), (3, 2, 20)])
+def test_h1_eliminates_once_per_class(monkeypatch, p, s, m):
+    """Timer-free cost guard: one elimination per class of components,
+    nullspace's own, and no second rref of the kernel; d^0 of a component
+    is stacked from its action rows, never built by _complex."""
+    ch = character_for(p, s, m)
+    eliminations, complexes = [], []
+    rref = linalg.rref
+
+    def counted_rref(field, rows):
+        eliminations.append(len(rows))
+        return rref(field, rows)
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(cohomology, "_complex",
+                        lambda *args: complexes.append(args))
+    assert h1_brute_force(ch)["dim"] == h1_closed_formula(p, s, m)
+    assert len(eliminations) == CLASS_COUNTS[p, s, m]
+    assert not complexes
+
+
+def lucas_component_action(ch, r, K):
+    """Oracle: the generators' matrices on component r, levels -K..-1, one
+    binom_mod_p call per entry: entry (j + d, j) is binom(-e/m, d) c^d for
+    the column's exponent e = r - m - 1 - (K - j) m."""
+    field, p, m = ch.field, ch.p, ch.m
+    mats = []
+    for i in range(1, ch.s + 1):
+        c = character_value(ch, ch.generator(i))
+        mat = [[0] * K for _ in range(K)]
+        for j in range(K):
+            e = r - m - 1 - (K - j) * m
+            for d in range(K - j):
+                b = field.from_int(binom_mod_p(-e, m, d, p))
+                mat[j + d][j] = (b * c ** d).raw
+        mats.append(mat)
+    return mats
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 1, 7), (3, 1, 10), (2, 2, 19), (5, 2, 6),
+                                   (3, 2, 20), (7, 1, 30)])
+def test_pascal_rows_are_the_lucas_rows(p, s, m):
+    """The columns of a component action after the first, stepped down by
+    Pascal's rule, are the binomials taken entry by entry, in every
+    component, here with K(r) past p^s at (5,2,6) and (7,1,30)."""
+    ch = character_for(p, s, m)
+    B = p ** s * (m + 1)
+    for r in range(m):
+        K = component_levels(ch, r, B)[0]
+        assert [mat for mat, _ in component_action_matrix(ch, r, K)] == \
+            lucas_component_action(ch, r, K)
+
+
+def per_component_basis(ch):
+    """Oracle: h1_brute_force's basis from one solve per component r < m,
+    with the binomials taken entry by entry, d^0 from _complex and the
+    kernel brought to reduced echelon form by a second rref."""
+    m, q = ch.m, ch.p ** ch.s
+    B = ch.order() * (m + 1)
+    basis = []
+    for r in range(m):
+        K = component_levels(ch, r, B)[0]
+        gens = [(mat, None) for mat in lucas_component_action(ch, r, K)]
+        d0 = _complex(ch.field, gens, 0)[0]
+        inv, pivots = linalg.rref(ch.field, linalg.nullspace(ch.field, d0, K))
+        basis += [(r, row) for row, c in zip(inv, pivots)
+                  if (r - m - 1 - (K - c) * m) % q]
+    return basis
+
+
+LARGE_M_POINTS = [(2, 1, 99), (3, 1, 97), (5, 1, 48), (7, 1, 30), (7, 2, 9),
+                  (3, 2, 40), (2, 2, 45)]
+
+
+@pytest.mark.parametrize("p,s,m", list(grid_points()) + S3_POINTS + LARGE_M_POINTS)
+def test_h1_basis_is_the_per_component_solve(p, s, m):
+    """Solving one component per class (r mod p^s, K(r)) gives the basis
+    of one solve per component, element for element."""
+    ch = character_for(p, s, m)
+    assert h1_brute_force(ch)["basis"] == per_component_basis(ch)
 
 
 @pytest.mark.parametrize("p,s,m", small_grid() + [(3, 2, 10), (5, 2, 6), (3, 3, 2)])

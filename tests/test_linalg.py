@@ -82,12 +82,23 @@ def oracle_reduce(field, basis, pivots, v):
     return v
 
 
+def assert_reduced_echelon(rows):
+    """Each row leads with a 1, further right than the row before, and the
+    other rows vanish at its lead."""
+    leads = [next(k for k, x in enumerate(r) if x) for r in rows]
+    assert leads == sorted(set(leads))
+    for r, c in zip(rows, leads):
+        assert r[c] == 1
+        assert [other[c] for other in rows if other is not r] == [0] * (len(rows) - 1)
+
+
 @given(case=matrices())
 @settings(max_examples=300, deadline=None)
 def test_elimination_matches_the_dense_oracle(case):
     """rref, nullspace, solve and reduce_against give the dense oracle's
     exact rows, pivots and vectors, on sparse, dense, zero, duplicate,
-    wide and tall matrices."""
+    wide and tall matrices.  nullspace gives the kernel's reduced echelon
+    basis, the oracle's kernel basis brought to that unique form."""
     field, rows, x, v, b = case
     ncols = len(rows[0])
     red, pivots = linalg.rref(field, rows)
@@ -95,9 +106,10 @@ def test_elimination_matches_the_dense_oracle(case):
     assert linalg.rank(field, rows) == len(pivots)
 
     kernel = linalg.nullspace(field, rows)
-    assert kernel == oracle_nullspace(field, rows, ncols)
+    assert kernel == dense_rref(field, oracle_nullspace(field, rows, ncols))[0]
     assert len(kernel) == ncols - len(pivots)
     assert all(not any(column(field, rows, k)) for k in kernel)
+    assert_reduced_echelon(kernel)
 
     for rhs in (column(field, rows, x), b):
         sol = linalg.solve(field, rows, rhs)
