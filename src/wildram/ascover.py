@@ -21,11 +21,12 @@ from .addpoly import (
     ore_recursion,
     ppoly_apply,
 )
-from .autoreps import build_rho
+from .autoreps import binom_row_mod_p
 from .coeffring import Record
 from .series import (
     INF,
     LaurentSeries,
+    compose,
     holomorphic_part,
     invert_unit_series,
     pole_part,
@@ -240,12 +241,21 @@ def equivalent_covers(g1, g2, s):
 # -- the germ expressed downstairs --------------------------------------------
 
 def downstairs_coordinate(ch, prec):
-    """x = prod_sigma rho_sigma(t), a coordinate of the quotient germ with
-    v(x) = p^s."""
-    x = LaurentSeries.one(ch.field, prec)
-    for g in ch.group():
-        x = x * build_rho(ch, g, prec)
-    return x
+    """x = prod_sigma rho_sigma(t), of valuation q = p^s, to the
+    t^(prec + q - 1) that the product of the rho_sigma known to t^prec
+    reaches, read off their defining equation 1/rho_sigma^m = 1/t^m +
+    c(sigma): x^{-m} = prod_{w in W} (t^{-m} + w) = K(t^{-m}), K the kernel
+    polynomial of the span W of the values, monic of p-degree s.  So
+    x = t^q (1 + h)^{-1/m}, h = t^{mq} K(t^{-m}) - 1: one binomial row
+    composed with h."""
+    field, p, m = ch.field, ch.p, ch.m
+    q = p ** ch.s
+    ker = ore_recursion(field, [c.raw for c in ch.vals])[0]
+    h = LaurentSeries(field, {m * (q - p ** nu): c for nu, c in ker.coeffs[:-1]}, INF)
+    n = -(-(prec - 1) // h.lead)  # h^n lies beyond t^(prec - 1)
+    row = binom_row_mod_p(-1, m, n, p)
+    binom = LaurentSeries(field, {k: field.raw_from_int(b) for k, b in enumerate(row)}, n)
+    return compose(binom, h).truncate(prec - 1).shift(q)
 
 
 def expand_downstairs(x, g, s):
@@ -303,7 +313,7 @@ def downstairs_model(ch):
                 ee = e * p ** j
                 u_coeffs[ee] = field.raw_add(u_coeffs.get(ee, 0), term)
     rhs = LaurentSeries(field, u_coeffs, 1)
-    return {"cover": ASCover(s, field, rhs), "x": x, "u": data["u"]}
+    return {"cover": ASCover(s, field, rhs), "x": x, "u": data["u"], "u1": data["u1"]}
 
 
 # -- deformed covers -----------------------------------------------------------

@@ -228,22 +228,26 @@ def verify_group_law(ch, prec=None):
 
 def ramification_data(ch, prec=None):
     """Break data of the filtration: i(sigma) = v(rho_sigma(t) - t) for each
-    nontrivial sigma (all equal m+1), Artin representation values, and the
-    single-jump flag."""
+    nontrivial sigma (all equal m+1), the Artin character at 1, the
+    single-jump flag, and, on the same elements, the defining equation
+    rho_sigma^m (1 + c(sigma) t^m) = t^m to the t^(prec + m - 1) it reaches."""
     if prec is None:
         prec = default_precision(ch.p, ch.m)
-    t = LaurentSeries.t_power(ch.field, 1, prec)
+    field, m = ch.field, ch.m
+    t = LaurentSeries.t_power(field, 1, prec)
     jumps = {}
+    equation_ok = True
     for g in ch.group():
         if g.is_identity():
             continue
-        diff = build_rho(ch, g, prec) - t
-        jumps[g.exps] = diff.reduced_valuation()
-    ar1 = sum(jumps.values())
+        rho = build_rho(ch, g, prec)
+        jumps[g.exps] = (rho - t).reduced_valuation()
+        unit = LaurentSeries.make(field, {0: 1, m: character_value(ch, g)})
+        equation_ok = equation_ok and (rho.pow(m) * unit).eq_to_prec(t.pow(m))
     return {
         "i": jumps,
-        "ar": {e: -v for e, v in jumps.items()},
-        "ar_identity": ar1,
-        "uniform_break": all(v == ch.m + 1 for v in jumps.values()),
-        "single_jump": ch.m,
+        "ar_identity": sum(jumps.values()),
+        "uniform_break": all(v == m + 1 for v in jumps.values()),
+        "single_jump": m,
+        "equation_ok": equation_ok,
     }

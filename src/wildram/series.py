@@ -424,18 +424,16 @@ class LaurentSeries:
         return True
 
     def to_dict(self):
-        if not self.coeffs:
-            return {"lead": 0, "prec": self.prec, "coeffs": []}
-        lo, hi = self.lead, max(self.coeffs)
-        return {"lead": lo, "prec": self.prec,
-                "coeffs": [self.ring.raw_to_vector(self.coeff(e))
-                           for e in range(lo, hi + 1)]}
+        """Serialization: the precision and the nonzero terms as
+        [[exponent, coefficient-vector]] sorted by exponent, in the lists
+        that a JSON round trip gives back."""
+        vector = self.ring.raw_to_vector
+        return {"prec": self.prec,
+                "terms": [[e, vector(c)] for e, c in sorted(self.coeffs.items())]}
 
     @classmethod
     def from_dict(cls, ring, data):
-        lo = data["lead"]
-        return cls(ring, {lo + i: ring.raw_from_vector(v)
-                          for i, v in enumerate(data["coeffs"])}, data["prec"])
+        return cls(ring, {e: ring.raw_from_vector(v) for e, v in data["terms"]}, data["prec"])
 
     def __repr__(self):
         if not self.coeffs:

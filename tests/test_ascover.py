@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from wildram.addpoly import ppoly_apply
+from wildram import ascover, autoreps
+from wildram.addpoly import ore_recursion, ppoly_apply
 from wildram.ascover import (
     DependentMu,
     ReductionMismatch,
@@ -13,6 +14,7 @@ from wildram.ascover import (
     class_reduce,
     conductor,
     deformed_u,
+    downstairs_coordinate,
     downstairs_model,
     equivalent_covers,
     germ_model,
@@ -20,10 +22,11 @@ from wildram.ascover import (
     reduction_witness_valid,
     subfield_elements,
 )
+from wildram.autoreps import build_rho, make_character
 from wildram.coeffring import make_artin_algebra, make_field
 from wildram.series import INF, LaurentSeries, ReductionIsZero, invert_unit_series
 
-from conftest import COVER_GRID, character_for, laplace_det, moore_rows
+from conftest import COVER_GRID, character_for, grid_points, laplace_det, moore_rows
 
 
 
@@ -124,6 +127,49 @@ def test_downstairs_conductor_is_m(p, s, m):
     cls = class_reduce(down["cover"].rhs, s)
     assert conductor(cls) == m
     assert reduction_witness_valid(down["cover"].rhs, cls)
+
+
+def rho_product(ch, prec):
+    """Oracle: x as the product of the rho_sigma, each known to t^prec."""
+    x = LaurentSeries.one(ch.field, prec)
+    for g in ch.group():
+        x = x * build_rho(ch, g, prec)
+    return x
+
+
+# (p, s, d, m) with s < d: the unit vectors span a proper subspace W of
+# GF(p^d), and at s >= 2 the kernel polynomial of W has more than two terms
+PROPER_SPAN_POINTS = [(2, 2, 3, 5), (3, 1, 2, 4), (2, 3, 6, 5), (3, 2, 3, 2)]
+
+
+@pytest.mark.parametrize("p,s,d,m", [(p, s, s, m) for p, s, m in grid_points()]
+                         + PROPER_SPAN_POINTS)
+def test_downstairs_coordinate_is_the_product_of_rho(p, s, d, m):
+    """x read off the defining equation equals the product of the
+    rho_sigma, in coefficients and in precision, at the precision of the
+    downstairs model, of the tangent window and of the extraction."""
+    field = make_field(p, d)
+    ch = make_character(field, [[int(i == j) for j in range(d)] for i in range(s)], m)
+    if s < d and s >= 2:
+        assert len(ore_recursion(field, [c.raw for c in ch.vals])[0].coeffs) > 2
+    for prec in ((m + 4) * p ** s, m + 2, 3 * m + 1):
+        x = downstairs_coordinate(ch, prec)
+        assert x == rho_product(ch, prec)
+        assert x.prec == prec + p ** s - 1
+
+
+def test_downstairs_coordinate_builds_no_rho(monkeypatch):
+    """The closed form multiplies no rho_sigma: build_rho is never called,
+    and the character's memo holds no rho afterwards."""
+    ch = character_for(5, 2, 7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_rho called")
+    for mod in (autoreps, ascover):
+        if getattr(mod, "build_rho", None) is build_rho:
+            monkeypatch.setattr(mod, "build_rho", refuse)
+    downstairs_model(ch)
+    assert not any(isinstance(k, tuple) and k[0] == "rho" for k in ch.memo)
 
 
 def test_equivalence_under_subfield_scaling():

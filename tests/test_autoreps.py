@@ -232,6 +232,7 @@ def test_ramification_break(p, s, m):
     ch = character_for(p, s, m)
     data = ramification_data(ch)
     assert data["uniform_break"]
+    assert data["equation_ok"]
     assert data["single_jump"] == m
     assert data["ar_identity"] == (ch.order() - 1) * (m + 1)
     t = LaurentSeries.t_power(ch.field, 1, default_precision(p, m))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wildram
-from wildram import autoreps, coeffring
+from wildram import autoreps, cli, coeffring, series
 from wildram.cli import (
     KNOWN_TASKS,
     MAX_ARTIN_ORDER,
@@ -24,7 +24,9 @@ from wildram.cli import (
     selftest,
     selftest_grid,
     strip_timing,
+    task_rho,
 )
+from wildram.series import LaurentSeries
 
 
 def sample_config(**over):
@@ -431,8 +433,8 @@ def test_selftest_grid_is_fixed():
 # sha256 and length of json.dumps(selftest(), sort_keys=True).  A deliberate
 # change of the report updates both, together with a CHANGES.md line that
 # says what changed in the report and why.
-SELFTEST_SHA256 = "9652a92e0cde1c06d21b0cf2add07496c7a2a5eafacd83de799c595966364549"
-SELFTEST_BYTES = 21469
+SELFTEST_SHA256 = "626fabce1d641895d9577304a72c2efe4e81a712d346b20e8982a7783436c9c1"
+SELFTEST_BYTES = 19401
 
 
 def test_selftest_report_digest_is_pinned():
@@ -443,13 +445,11 @@ def test_selftest_report_digest_is_pinned():
 
 # sha256 and length of json.dumps(strip_timing(run(job)), sort_keys=True)
 # for the slowest accepted ascover jobs, V = (Z/p)^d in GF(p^d) with the
-# unit vectors as values and m = 1021, as recorded when each product still
-# accumulated dense rows over its whole span (15 s and 14 s per job).
+# unit vectors as values and m = 1021.
 ASCOVER_CORNERS = {
-    (5, 3): ("10b21a4a81d4a94c2552578a6b517db0027849b9ea9644fa7806c71f0ae49598",
-             1393129),
-    (2, 6): ("b1e0c99e5dce29739b10cab7e59a88ab6233a180ae4ac5483ce951774c366b34",
-             1287067),
+    (5, 3): ("febdfb879d13a049de05b8a5ba337be7190ce0ae350f73ceed74eddcd48ff6a2", 473),
+    (2, 6): ("670ecce889828defabed6323044829bac44ebb832017932081b29e0a7c4fff30", 604),
+    (5, 4): ("fb6409ca20e4e0afb721e84acdc7310bf1546927970f62cf8b046b2f45c7e67b", 511),
 }
 
 
@@ -463,6 +463,42 @@ def test_ascover_corner_report_is_pinned(p, d):
     text = json.dumps(strip_timing(report), sort_keys=True)
     assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == \
         ASCOVER_CORNERS[(p, d)]
+
+
+RHO_JOB = {"field": {"p": 3, "d": 2},
+           "character": {"s": 2, "m": 4, "vals": [[1, 0], [0, 1]]},
+           "tasks": ["rho"]}
+
+
+@pytest.mark.parametrize("planted", [(1, 1), (2, 1), (0, 2)])
+def test_rho_task_checks_the_defining_equation_on_every_element(planted):
+    """A rho_g with one coefficient changed, planted in the memo for a g
+    that is not a generator, makes defining_equation_ok false: the
+    equation is checked on every element, not on the generators alone."""
+    job = parse_config(RHO_JOB)
+    ch, prec = job["ch"], job["precision"]
+    assert task_rho(job)["defining_equation_ok"]
+    g = autoreps.GroupElem(planted)
+    rho = autoreps.build_rho(ch, g, prec)
+    ch.memo[("rho", g.exps, prec)] = rho + LaurentSeries.t_power(ch.field, ch.m + 2, prec)
+    assert not task_rho(job)["defining_equation_ok"]
+
+
+def test_rho_task_inverts_no_series(monkeypatch):
+    """The defining equation is checked in the product form
+    rho^m (1 + c t^m) = t^m, which inverts nothing."""
+    calls = []
+    real = series.invert_unit_series
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+    for mod in (series, autoreps, cli):
+        if getattr(mod, "invert_unit_series", None) is real:
+            monkeypatch.setattr(mod, "invert_unit_series", counted)
+    res = task_rho(parse_config(RHO_JOB))
+    assert res["ok"] and res["defining_equation_ok"]
+    assert calls == []
 
 
 def test_strip_timing_removes_all_timing():

@@ -316,7 +316,7 @@ def test_malformed_coefficient_vectors_are_refused(case):
     with pytest.raises(RingMismatch):
         ring.raw_from_vector(vec)
     with pytest.raises(RingMismatch):
-        LaurentSeries.from_dict(ring, {"lead": 0, "prec": 3, "coeffs": [vec]})
+        LaurentSeries.from_dict(ring, {"prec": 3, "terms": [[0, vec]]})
 
 
 def test_raw_artin_tuples_are_kept():
