@@ -30,8 +30,8 @@ class Character(Record):
     ..., c(sigma_s) on the generators, and the conductor m."""
     # memo holds what depends on the character alone, each entry built on
     # first use: build_rho's series, keyed ("rho", g.exps, prec), the peel
-    # order of V (peeled), the generator complex and the echelon form of
-    # its coboundaries (cohomology), and the chords of deform.deformed_rho.
+    # order of V (peeled), the generator complex on N = <t^-1, t^-(m+1)>
+    # (cohomology), and the chords of deform.deformed_rho.
     # It stays outside equality, hash and repr.
     __slots__ = ("field", "s", "vals", "m", "memo")
 

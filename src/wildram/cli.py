@@ -147,8 +147,7 @@ def task_cohomology(job):
         vecs = [cohomology.cocycle_class_vector(ch, c) for _, c in basis]
         out["basis_rank"] = linalg.rank(ch.field, vecs) if vecs else 0
         out["ok"] = out["ok"] and out["basis_rank"] == bf["dim"]
-    if ch.order() <= 9:
-        out["h2_dim"] = cohomology.h2_brute_force(ch)["dim"]
+    out["h2_dim"] = cohomology.h2_brute_force(ch)["dim"]
     return out
 
 

@@ -15,17 +15,16 @@ Hom_V(P, -), where P is the tensor product of the periodic resolutions of
 the s cyclic factors.  `h1_brute_force` reads H^1(V, T) off the exact
 sequence 0 -> T -> T_K -> T_K/T -> 0: the invariant pole parts modulo
 those of the invariant fields, one elimination per class of graded
-components.  On M, `is_cocycle`, the coboundaries behind
-`cocycle_class_vector`, the dimension of H^2 and the coboundary tests all
-read its differentials: `d1_preimage` on the relations of V, such as the
-defects of an obstruction, and
-`H2Engine.is_coboundary` on all pairs of group elements, pulled back along
-the chain map from the periodic resolutions to the bar resolution.  Those
-differentials and the echelon form of the coboundaries depend on the
-character alone: they are built once per character, in its memo.
-Alongside sit the closed dimension formula of H^1(V, T), the cyclic
-basis, the splitting criterion and the Krull dimension of the unobstructed
-locus.
+components.  On M only t^{-(m+1)} moves, by kappa c(sigma) t^{-1} with
+kappa = (m+1)/m: M = N + k^{m-1}, N = <t^{-1}, t^{-(m+1)}>, and every
+differential vanishes on k^{m-1}.  So the complex is built on N, once
+per character, and `is_cocycle`, `cocycle_class_vector`, H^2 and the
+coboundary tests (`d1_preimage` on the relations of V, such as the
+defects of an obstruction; `H2Engine.is_coboundary` on all pairs of
+group elements, through the chain map from the periodic resolutions to
+the bar resolution) read the coordinates on N.  Alongside sit the closed
+formula of H^1(V, T), the cyclic basis, the splitting criterion and the
+Krull dimension of the unobstructed locus.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class TooLarge(ValueError):
 
 
 class CochainLengthMismatch(ValueError):
-    """A 1-cochain's value vector does not have s(m+1) coordinates."""
+    """A cochain's value vector does not have m+1 coordinates per block."""
 
 
 class PolePartClass(Record):
@@ -109,10 +108,7 @@ class OneCochain(Record):
         return cls(ch, (PolePartClass.zero(ch),) * ch.s)
 
     def vector(self):
-        out = []
-        for v in self.vals:
-            out.extend(v.vector())
-        return out
+        return [x for v in self.vals for x in v.vector()]
 
     @classmethod
     def from_vector(cls, ch, raws):
@@ -171,42 +167,35 @@ def _action(ch, gs, exps):
     return pairs
 
 
-def _pole_exponents(m):
-    """The basis t^{-1}, ..., t^{-(m+1)} of M."""
-    return range(-1, -m - 2, -1)
-
-
 def action_matrix(ch, g):
     """Matrix of the action of g on M in the basis t^{-1}, ..., t^{-(m+1)}."""
-    return _action(ch, [g], _pole_exponents(ch.m))[0][0]
+    return _action(ch, [g], range(-1, -ch.m - 2, -1))[0][0]
 
 
 def _generator_actions(ch):
-    """The generators' (matrix, norm) pairs on M, for _complex."""
+    """The generators' (matrix, norm) pairs on N, for _complex."""
     gens = [ch.generator(i) for i in range(1, ch.s + 1)]
-    return _action(ch, gens, _pole_exponents(ch.m))
+    return _action(ch, gens, (-1, -ch.m - 1))
 
 
-def _generator_complex(ch, top):
-    """The differentials d^0, ..., d^top, at least, of the generator
-    complex on M, as _complex builds them.  They depend on the character
-    alone, so they are kept in its memo, built again only when a higher
-    degree is asked for; callers only read them."""
+def _generator_complex(ch):
+    """d^0, d^1, d^2 of the generator complex on N, built by _complex once
+    per character and kept in its memo; callers only read them."""
     d = ch.memo.get("complex")
-    if d is None or len(d) <= top:
-        d = ch.memo["complex"] = _complex(ch.field, _generator_actions(ch), top)
+    if d is None:
+        d = ch.memo["complex"] = _complex(ch.field, _generator_actions(ch), 2)
     return d
 
 
-def _coboundary_echelon(ch):
-    """(rows, pivots): the echelon form of the columns of d^0 of the
-    generator complex, which span the coboundaries, kept in the
-    character's memo."""
-    echelon = ch.memo.get("coboundaries")
-    if echelon is None:
-        d0 = _generator_complex(ch, 0)[0]
-        echelon = ch.memo["coboundaries"] = linalg.rref(ch.field, list(zip(*d0)))
-    return echelon
+def _n_coordinates(ch, vec, degree):
+    """Positions of the coordinates on N, t^{-1} and t^{-(m+1)}, in the
+    value vector of a cochain on M of the given degree, one block of m+1
+    per a in N^s with |a| = degree; any other length is refused."""
+    nblocks, m1 = len(_multi_indices(ch.s, degree)), ch.m + 1
+    if len(vec) != nblocks * m1:
+        raise CochainLengthMismatch("expected %d coordinates, got %d"
+                                    % (nblocks * m1, len(vec)))
+    return [b * m1 + k for b in range(nblocks) for k in (0, ch.m)]
 
 
 # -- brute-force H^1 ----------------------------------------------------------
@@ -229,17 +218,17 @@ def _multi_indices(s, n):
 
 
 def _complex(field, gens, top):
-    """Differentials d^0, ..., d^top of Hom_V(P, M), as row matrices.
+    """Differentials d^0, ..., d^top of Hom_V(P, W), as row matrices.
 
     P is the tensor product of the periodic resolutions of the cyclic
     factors <sigma_j>, and gens are the generators' (matrix, norm) pairs on
-    M, as _action builds them.  C^n has one block of size dim M for each
-    a in N^s with |a| = n, in decreasing lexicographic order, so the blocks
-    of C^1 are the values on sigma_1, ..., sigma_s.  The block of d^n from
-    a - e_j to b is (-1)^(b_1 + ... + b_{j-1}) times sigma_j - 1 when b_j
-    is odd and N_j = 1 + sigma_j + ... + sigma_j^{p-1} when b_j is even.
-    Z^1 is then cut out by the norm and pairwise conditions and
-    B^1 = ((sigma_j - 1) n)_j.
+    a module W, as _action builds them.  C^n has one block of size dim W
+    for each a in N^s with |a| = n, in decreasing lexicographic order, so
+    the blocks of C^1 are the values on sigma_1, ..., sigma_s.  The block
+    of d^n from a - e_j to b is (-1)^(b_1 + ... + b_{j-1}) times
+    sigma_j - 1 when b_j is odd and N_j = 1 + sigma_j + ... + sigma_j^{p-1}
+    when b_j is even.  Z^1 is then cut out by the norm and pairwise
+    conditions and B^1 = ((sigma_j - 1) n)_j.
     """
     add, neg = field.tables()[0], field.tables()[2]
     s, n = len(gens), len(gens[0][0])
@@ -336,21 +325,23 @@ def h1_brute_force(ch):
 
 def is_cocycle(ch, cochain):
     """Check the 1-cocycle conditions for values given on the generators."""
-    d1 = _generator_complex(ch, 1)[1]
-    return not any(linalg.mat_vec(ch.field, d1, cochain.vector()))
+    vec = cochain.vector()
+    x = [vec[i] for i in _n_coordinates(ch, vec, 1)]
+    return not any(linalg.mat_vec(ch.field, _generator_complex(ch)[1], x))
 
 
 def cocycle_class_vector(ch, cochain):
-    """Coordinates of the cochain's class in M: the value vector reduced
-    modulo the coboundaries ((sigma_i - 1) n)_i, the columns of d^0.
-    Anything but a whole cochain, one value per generator, is refused:
-    a single value would be reduced against truncated coboundaries."""
+    """Coordinates of the cochain's class in M: the value vector reduced on
+    N modulo the coboundaries ((sigma_i - 1) n)_i, the columns of d^0.
+    Anything but a whole cochain, one value per generator, is refused: a
+    single value would be reduced against truncated coboundaries."""
     vec = cochain.vector()
-    if len(vec) != ch.s * (ch.m + 1):
-        raise CochainLengthMismatch("expected %d coordinates, got %d"
-                                    % (ch.s * (ch.m + 1), len(vec)))
-    bred, bpivots = _coboundary_echelon(ch)
-    return linalg.reduce_against(ch.field, bred, bpivots, vec)
+    pos = _n_coordinates(ch, vec, 1)
+    red, pivots = linalg.rref(ch.field, list(zip(*_generator_complex(ch)[0])))
+    x = linalg.reduce_against(ch.field, red, pivots, [vec[i] for i in pos])
+    for i, y in zip(pos, x):
+        vec[i] = y
+    return vec
 
 
 # -- closed formulas ----------------------------------------------------------
@@ -433,10 +424,16 @@ def krull_dimension_sigma(p, m):
 def d1_preimage(ch, blocks):
     """A 1-cochain gamma with d^1 gamma the 2-cochain whose blocks, in the
     order of _multi_indices(s, 2), are the given PolePartClass values;
-    None when there is none."""
-    d1 = _generator_complex(ch, 1)[1]
-    gamma = linalg.solve(ch.field, d1, [x for b in blocks for x in b.vector()])
-    return None if gamma is None else OneCochain.from_vector(ch, gamma)
+    None when there is none, as for blocks nonzero off N, where every
+    differential vanishes.  Any other number of blocks is refused."""
+    vec = [x for b in blocks for x in b.vector()]
+    pos = _n_coordinates(ch, vec, 2)
+    gamma = linalg.solve(ch.field, _generator_complex(ch)[1], [vec[i] for i in pos])
+    if gamma is None or any(x for i, x in enumerate(vec) if 0 < i % (ch.m + 1) < ch.m):
+        return None
+    zeros = [0] * (ch.m - 1)
+    return OneCochain.from_vector(ch, [x for i in range(0, len(gamma), 2)
+                                       for x in [gamma[i], *zeros, gamma[i + 1]]])
 
 
 class H2Engine:
@@ -445,15 +442,17 @@ class H2Engine:
     complex."""
 
     def __init__(self, ch):
-        if ch.order() > 27:
-            raise TooLarge("2-cochain space too large (p^s > 27)")
         self.ch = ch
-        self._mats = {g.exps: action_matrix(ch, g) for g in ch.group()}
-        self._d = _generator_complex(ch, 2)
+        group = ch.group()
+        self._mats = {g.exps: mat for g, (mat, _)
+                      in zip(group, _action(ch, group, (-1, -ch.m - 1)))}
+        self._d = _generator_complex(ch)
 
     def _act(self, exps, x):
-        return PolePartClass.from_vector(
-            self.ch, linalg.mat_vec(self.ch.field, self._mats[exps], x.vector()))
+        vec = x.vector()  # N is the first and the last coordinate
+        vec[0], vec[-1] = linalg.mat_vec(self.ch.field, self._mats[exps],
+                                         (vec[0], vec[-1]))
+        return PolePartClass.from_vector(self.ch, vec)
 
     def is_coboundary(self, table):
         """Whether the table f: (g.exps, h.exps) -> PolePartClass, missing
@@ -498,9 +497,9 @@ class H2Engine:
                    for gh, v in self.d1_of(beta).items())
 
     def z2_dimension(self):
-        """dim Z^2 = dim C^2 - rank d^2 in the generator complex."""
+        """dim Z^2 = dim C^2 - rank d^2, d^2 reading 2 of each block's m+1."""
         d2 = self._d[2]
-        return len(d2[0]) - linalg.rank(self.ch.field, d2)
+        return (self.ch.m + 1) * len(d2[0]) // 2 - linalg.rank(self.ch.field, d2)
 
     def h2_dimension(self):
         """dim Z^2 - dim B^2, with dim B^2 = rank d^1."""
@@ -520,5 +519,4 @@ class H2Engine:
 
 
 def h2_brute_force(ch):
-    eng = H2Engine(ch)
-    return {"dim": eng.h2_dimension(), "engine": eng}
+    return {"dim": H2Engine(ch).h2_dimension()}

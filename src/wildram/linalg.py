@@ -10,7 +10,7 @@ from __future__ import annotations
 
 
 class VectorLengthMismatch(ValueError):
-    """A vector to reduce does not have the length of the basis rows."""
+    """A vector does not have the length the matrix asks for."""
 
 
 def rref(field, rows):
@@ -85,6 +85,8 @@ def nullspace(field, rows, ncols=None):
 
 def solve(field, rows, rhs):
     """One solution of rows * x = rhs, or None if inconsistent."""
+    if len(rhs) != len(rows):
+        raise VectorLengthMismatch("expected %d entries, got %d" % (len(rows), len(rhs)))
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
     red, pivots = rref(field, aug)

@@ -134,3 +134,13 @@ def test_reduce_against_refuses_a_vector_of_another_length(f5):
     assert issubclass(linalg.VectorLengthMismatch, ValueError)
     assert linalg.reduce_against(f5, basis, pivots, [2, 4, 1, 0]) == [0, 0, 0, 0]
     assert linalg.reduce_against(f5, [], [], [1, 2]) == [1, 2]
+
+
+def test_solve_refuses_a_right_hand_side_of_another_length(f5):
+    """zip cut the rows to the right-hand side's length: the identity with
+    rhs [1] was solved as the system x_0 = 1 alone, giving [1, 0]."""
+    for rhs in ([1], [1, 0, 0]):
+        with pytest.raises(linalg.VectorLengthMismatch):
+            linalg.solve(f5, [[1, 0], [0, 1]], rhs)
+    assert linalg.solve(f5, [[1, 0], [0, 1]], [1, 2]) == [1, 2]
+    assert linalg.solve(f5, [], []) == []
